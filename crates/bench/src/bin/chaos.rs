@@ -210,18 +210,7 @@ fn render_json(runs: &[Run], spec: &FleetSpec, faults: &FleetFaultSpec, quick: b
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| {
-            if quick {
-                "BENCH_chaos_quick.json".to_string()
-            } else {
-                "BENCH_chaos.json".to_string()
-            }
-        });
+    let out_path = hars_bench::bench_out_path(&args, quick, "BENCH_chaos");
 
     let n_boards = if quick { 6 } else { 12 };
     let base = fleet(n_boards, quick);

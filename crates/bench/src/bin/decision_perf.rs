@@ -36,6 +36,10 @@
 //! ```sh
 //! cargo run --release -p hars-bench --bin decision_perf [-- --quick] [--out BENCH_search.json]
 //! ```
+//!
+//! Without `--out` the JSON goes to `BENCH_search.json`, or to
+//! `BENCH_search_quick.json` in quick mode, so a quick run never
+//! overwrites the committed full-mode baseline.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -340,12 +344,7 @@ fn render_json(reports: &[BoardReport], quick: bool, calibration: (f64, f64, usi
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_search.json".to_string());
+    let out_path = hars_bench::bench_out_path(&args, quick, "BENCH_search");
 
     println!(
         "decision_perf ({} mode): decision-loop cost per strategy × board\n",

@@ -30,6 +30,10 @@
 //! ```sh
 //! cargo run --release -p hars-bench --bin engine_perf [-- --quick] [--out BENCH_engine.json]
 //! ```
+//!
+//! Without `--out` the JSON goes to `BENCH_engine.json`, or to
+//! `BENCH_engine_quick.json` in quick mode, so a quick run never
+//! overwrites the committed full-mode baseline.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -197,12 +201,7 @@ fn render_json(reports: &[CaseReport], quick: bool) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_engine.json".to_string());
+    let out_path = hars_bench::bench_out_path(&args, quick, "BENCH_engine");
     let reps = if quick { 3 } else { 5 };
 
     println!(

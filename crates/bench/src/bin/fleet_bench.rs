@@ -220,18 +220,7 @@ fn render_json(runs: &[Run], spec: &FleetSpec, quick: bool, speedup: f64) -> Str
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| {
-            if quick {
-                "BENCH_fleet_quick.json".to_string()
-            } else {
-                "BENCH_fleet.json".to_string()
-            }
-        });
+    let out_path = hars_bench::bench_out_path(&args, quick, "BENCH_fleet");
 
     let n_boards = if quick { 48 } else { 256 };
     let spec = fleet(n_boards, quick);

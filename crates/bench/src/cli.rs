@@ -33,9 +33,43 @@ pub fn parse_args() -> CliScales {
     }
 }
 
+/// Where a `BENCH_*` binary writes its JSON: the value of `--out`, or
+/// else `{stem}.json` in full mode and `{stem}_quick.json` in quick
+/// mode, so a quick run never overwrites the committed full-mode file.
+pub fn bench_out_path(args: &[String], quick: bool, stem: &str) -> String {
+    args.iter()
+        .position(|a| a == "--out")
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+        .unwrap_or_else(|| {
+            if quick {
+                format!("{stem}_quick.json")
+            } else {
+                format!("{stem}.json")
+            }
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quick_runs_default_to_the_quick_bench_file() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            bench_out_path(&args(&["--quick"]), true, "BENCH_engine"),
+            "BENCH_engine_quick.json"
+        );
+        assert_eq!(
+            bench_out_path(&args(&[]), false, "BENCH_engine"),
+            "BENCH_engine.json"
+        );
+        assert_eq!(
+            bench_out_path(&args(&["--quick", "--out", "x.json"]), true, "BENCH_engine"),
+            "x.json"
+        );
+    }
 
     #[test]
     fn default_args_are_full_scale() {

@@ -35,7 +35,7 @@ pub mod setup;
 pub mod single;
 pub mod table;
 
-pub use cli::{parse_args, CliScales};
+pub use cli::{bench_out_path, parse_args, CliScales};
 pub use experiments::{
     behavior_trace, figure_distance_sweep, figure_multi_app, figure_perf_per_watt,
 };

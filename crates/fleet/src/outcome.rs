@@ -89,9 +89,12 @@ pub struct FleetOutcome {
     /// Runtime-manager adaptations across all shards.
     pub adaptations: u64,
     /// Solo calibrations served from cache across all shards
-    /// (reporting only — timing-dependent under a shared cache).
+    /// (reporting only, not fingerprinted: under a shared cache which
+    /// shard pays for a key depends on timing).
     pub solo_cache_hits: u64,
     /// Solo calibrations computed across all shards (reporting only).
+    /// Misses are single-flight, so with a shared cache this is the
+    /// number of distinct calibration keys at any worker count.
     pub solo_cache_misses: u64,
     /// Per-shard rows, ascending shard id.
     pub shards: Vec<ShardSummary>,

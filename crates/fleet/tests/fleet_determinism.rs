@@ -163,6 +163,25 @@ proptest! {
     }
 }
 
+/// Shared-cache misses are single-flight: shards racing on a cold key
+/// wait for its one calibration, so the fleet's miss count is the
+/// number of distinct keys at any worker count.
+#[test]
+fn shared_cache_misses_are_worker_count_invariant() {
+    for seed in [3, 11] {
+        let spec = tiny_fleet(seed, 9, PlacementPolicy::RoundRobin);
+        let misses = |workers| {
+            run_fleet(&spec, workers, &mut NullSink)
+                .expect("fleet runs")
+                .solo_cache_misses
+        };
+        let one = misses(1);
+        assert!(one > 0, "the fleet calibrates");
+        assert_eq!(misses(2), one, "seed {seed}: 2 workers");
+        assert_eq!(misses(8), one, "seed {seed}: 8 workers");
+    }
+}
+
 /// A fault model exercising every channel at once, hot enough that
 /// boards die and failover rounds actually run.
 fn chaos_faults(seed: u64) -> FleetFaultSpec {

@@ -6,7 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::board::{BoardSpec, ClusterId};
+use crate::board::{BoardSpec, ClusterId, MAX_CLUSTERS};
 use crate::clock::ns_to_secs;
 use crate::freq::FreqKhz;
 use crate::power::cluster_power;
@@ -44,22 +44,33 @@ impl EnergyMeter {
     pub fn accumulate(&mut self, board: &BoardSpec, freqs: &[FreqKhz], busy: &[f64], dt_ns: u64) {
         let n = board.n_clusters();
         assert!(freqs.len() >= n && busy.len() >= n, "per-cluster slices");
-        let dt = ns_to_secs(dt_ns);
-        if dt <= 0.0 {
-            return;
-        }
-        self.ensure_clusters(n);
+        let mut powers = [0.0f64; MAX_CLUSTERS];
         for cluster in board.cluster_ids() {
             let i = cluster.index();
-            let p = cluster_power(
+            powers[i] = cluster_power(
                 board,
                 cluster,
                 freqs[i],
                 busy[i],
                 board.cluster_size(cluster),
             );
+        }
+        self.accumulate_powers(&powers[..n], &busy[..n], dt_ns);
+    }
+
+    /// [`EnergyMeter::accumulate`] with the per-cluster powers already
+    /// computed (the engine memoizes them): `joules[i] += p·dt` and
+    /// `busy_core_secs[i] += busy[i]·dt` per cluster in cluster order,
+    /// then `elapsed_secs += dt`.
+    pub(crate) fn accumulate_powers(&mut self, powers: &[f64], busy: &[f64], dt_ns: u64) {
+        let dt = ns_to_secs(dt_ns);
+        if dt <= 0.0 {
+            return;
+        }
+        self.ensure_clusters(powers.len());
+        for (i, (&p, &b)) in powers.iter().zip(busy).enumerate() {
             self.joules[i] += p * dt;
-            self.busy_core_secs[i] += busy[i] * dt;
+            self.busy_core_secs[i] += b * dt;
         }
         self.elapsed_secs += dt;
     }
@@ -87,6 +98,42 @@ impl EnergyMeter {
             self.joules[i] += p * dt;
         }
         self.elapsed_secs += dt;
+    }
+
+    /// `k` consecutive [`EnergyMeter::accumulate_idle`] calls with the
+    /// same `dt_ns` (a run of whole scheduler ticks inside a fully-idle
+    /// span), with the accumulators held in registers instead of being
+    /// loaded and stored once per call.
+    ///
+    /// Bit-compatibility contract: every accumulator receives exactly
+    /// the adds the `k` calls would give it, in the same order, and
+    /// `p·dt` is the same product each time; the accumulators are
+    /// independent, so grouping the adds per call or per run cannot
+    /// change a bit.
+    pub(crate) fn accumulate_idle_repeat(&mut self, powers: &[f64], dt_ns: u64, k: u64) {
+        let dt = ns_to_secs(dt_ns);
+        if dt <= 0.0 {
+            return;
+        }
+        let n = powers.len();
+        self.ensure_clusters(n);
+        // Fixed-width lanes so the loop body is branch-free; lanes past
+        // `n` add zeros and are never written back.
+        let mut step = [0.0f64; MAX_CLUSTERS];
+        let mut acc = [0.0f64; MAX_CLUSTERS];
+        for i in 0..n {
+            step[i] = powers[i] * dt;
+            acc[i] = self.joules[i];
+        }
+        let mut elapsed = self.elapsed_secs;
+        for _ in 0..k {
+            for (a, s) in acc.iter_mut().zip(&step) {
+                *a += s;
+            }
+            elapsed += dt;
+        }
+        self.joules[..n].copy_from_slice(&acc[..n]);
+        self.elapsed_secs = elapsed;
     }
 
     /// Energy consumed by `cluster` so far (J).
@@ -255,6 +302,42 @@ mod tests {
         assert_eq!(
             general.elapsed_secs().to_bits(),
             idle.elapsed_secs().to_bits()
+        );
+    }
+
+    #[test]
+    fn repeated_idle_accumulate_is_bit_equal_to_single_calls() {
+        let b = BoardSpec::dynamiq_1p_3m_4l();
+        let freqs = max_freqs(&b);
+        let powers: Vec<f64> = b
+            .cluster_ids()
+            .map(|c| crate::power::cluster_power(&b, c, freqs[c.index()], 0.0, b.cluster_size(c)))
+            .collect();
+        let busy = vec![1.0; b.n_clusters()];
+        let mut single = EnergyMeter::new();
+        let mut repeat = EnergyMeter::new();
+        single.accumulate(&b, &freqs, &busy, 7_123_456);
+        repeat.accumulate(&b, &freqs, &busy, 7_123_456);
+        for (dt, k) in [
+            (4_000_000_u64, 1_u64),
+            (4_000_000, 997),
+            (333, 5),
+            (4_000_000, 0),
+        ] {
+            for _ in 0..k {
+                single.accumulate_idle(&powers, dt);
+            }
+            repeat.accumulate_idle_repeat(&powers, dt, k);
+        }
+        for c in b.cluster_ids() {
+            assert_eq!(
+                single.cluster_joules(c).to_bits(),
+                repeat.cluster_joules(c).to_bits()
+            );
+        }
+        assert_eq!(
+            single.elapsed_secs().to_bits(),
+            repeat.elapsed_secs().to_bits()
         );
     }
 

@@ -21,8 +21,8 @@ use crate::events::{EventHeap, EventKey};
 use crate::fault::{FaultKind, FaultNotice, FaultPlan};
 use crate::freq::FreqKhz;
 use crate::power::cluster_power;
-use crate::sched::gts::{gts_tick, update_loads};
-use crate::sched::{dequeue_thread, place_thread, CoreState, GtsConfig};
+use crate::sched::gts::{gts_tick, update_loads, Topology};
+use crate::sched::{dequeue_thread, place_thread, CoreState, GtsConfig, RunQueues};
 use crate::sensor::PowerSensor;
 use crate::spec::{AppSpec, ParallelismModel};
 use crate::thread::{BlockReason, RunState, ThreadState};
@@ -41,12 +41,13 @@ pub enum ExecMode {
     /// Discrete-event scheduling (the default): control events
     /// (actions, ticks, sensor samples, sleep wake-ups) come from a
     /// lazily-invalidated min-heap, per-core thread speeds are
-    /// memoized under run-queue/frequency epochs, and fully-idle spans
-    /// are fast-forwarded boundary-by-boundary at O(1) cost per
-    /// boundary instead of O(threads × cores) per step.
+    /// memoized under run-queue/frequency epochs and per-cluster powers
+    /// under (frequency, busy cores), and fully-idle spans are
+    /// fast-forwarded boundary-by-boundary at O(1) cost per boundary
+    /// instead of O(threads × cores) per step.
     EventHeap,
     /// The pre-heap reference stepper: every step rescans the action
-    /// map, every thread and every run queue for the next event.
+    /// map, every live thread and every run queue for the next event.
     FixedStep,
 }
 
@@ -125,13 +126,25 @@ pub struct HeartbeatEvent {
 #[derive(Debug)]
 pub struct Engine {
     board: BoardSpec,
+    /// The board's cluster layout as the GTS tick reads it.
+    topology: Topology,
     cfg: EngineConfig,
     now_ns: u64,
     /// Per-cluster DVFS operating points, indexed by cluster.
     freqs: Vec<FreqKhz>,
-    cores: Vec<CoreState>,
+    cores: RunQueues,
     threads: Vec<ThreadState>,
+    /// Ids of the threads that are not [`RunState::Finished`], in
+    /// ascending order. Every per-step walk over threads walks this
+    /// index instead of the whole thread table, which keeps every
+    /// thread an app ever ran.
+    live: Vec<usize>,
+    /// Reused buffer for walking a snapshot of `live` while the walk
+    /// itself finishes apps (see [`Engine::process_due`]).
+    live_snapshot: Vec<usize>,
     apps: Vec<AppState>,
+    /// Apps whose heartbeat budget is spent (`AppState::done`).
+    done_apps: usize,
     registry: HeartbeatRegistry,
     energy: EnergyMeter,
     sensor: PowerSensor,
@@ -150,6 +163,10 @@ pub struct Engine {
     /// Per-core memoized thread speeds, parallel to each core's run
     /// queue; valid while the `(rq_epoch, freq_epoch)` stamps match.
     speed_cache: Vec<SpeedCache>,
+    /// Per-cluster `(frequency, busy cores, watts)` of the last power
+    /// computed ([`ExecMode::EventHeap`] only; see
+    /// [`Engine::cluster_powers`]).
+    power_memo: Vec<(FreqKhz, f64, f64)>,
     /// Installed fault schedule (empty and inert by default; see
     /// [`Engine::install_faults`]).
     faults: FaultPlan,
@@ -188,23 +205,31 @@ impl Engine {
     pub fn new(board: BoardSpec, cfg: EngineConfig) -> Self {
         cfg.gts.assert_valid();
         board.assert_valid();
-        let cores = (0..board.n_cores())
-            .map(|i| CoreState::new(CoreId(i), board.cluster_of(CoreId(i))))
-            .collect();
+        let cores = RunQueues::new(
+            (0..board.n_cores())
+                .map(|i| CoreState::new(CoreId(i), board.cluster_of(CoreId(i))))
+                .collect(),
+        );
         let freqs: Vec<FreqKhz> = board.cluster_ids().map(|c| board.ladder(c).max()).collect();
         let sensor = PowerSensor::new(board.sensor_period_ns, cfg.sensor_noise, cfg.seed);
         let next_tick_ns = cfg.gts.tick_ns;
         let registry = HeartbeatRegistry::new(cfg.hb_window);
         let n_clusters = board.n_clusters();
         let n_cores = board.n_cores();
+        // A negative busy count never matches: the first call computes.
+        let power_memo = freqs.iter().map(|&f| (f, -1.0, 0.0)).collect();
         let mut engine = Self {
+            topology: Topology::new(&board),
             board,
             cfg,
             now_ns: 0,
             freqs,
             cores,
             threads: Vec::new(),
+            live: Vec::new(),
+            live_snapshot: Vec::new(),
             apps: Vec::new(),
+            done_apps: 0,
             registry,
             energy: EnergyMeter::new(),
             sensor,
@@ -216,6 +241,7 @@ impl Engine {
             event_heap: EventHeap::new(),
             freq_epochs: vec![0; n_clusters],
             speed_cache: vec![SpeedCache::default(); n_cores],
+            power_memo,
             faults: FaultPlan::empty(),
             fault_notices: Vec::new(),
             failed_at: None,
@@ -310,6 +336,7 @@ impl Engine {
             let stage = spec.stage_of_thread(local);
             self.threads.push(ThreadState::new(app_idx, stage, all));
             self.cur_items.push(None);
+            self.live.push(tid);
             app.threads.push(tid);
         }
         self.apps.push(app);
@@ -348,7 +375,7 @@ impl Engine {
 
     /// `true` when every application is done.
     pub fn all_done(&self) -> bool {
-        !self.apps.is_empty() && self.apps.iter().all(|a| a.done)
+        !self.apps.is_empty() && self.done_apps == self.apps.len()
     }
 
     /// Heartbeats emitted by `app` so far.
@@ -376,6 +403,10 @@ impl Engine {
     }
 
     /// A thread's current GTS load estimate.
+    ///
+    /// Once the thread's app has finished (or the board has failed) the
+    /// load is no longer updated: it keeps the value of the last tick
+    /// the thread was live for.
     ///
     /// # Errors
     ///
@@ -611,7 +642,7 @@ impl Engine {
                     self.failed_at = Some(self.now_ns);
                     // Every thread stops for good; apps stay not-done
                     // so their budgets read as incomplete.
-                    for tid in 0..self.threads.len() {
+                    for tid in std::mem::take(&mut self.live) {
                         dequeue_thread(tid, &self.threads, &mut self.cores);
                         self.threads[tid].run = RunState::Finished;
                         self.threads[tid].work_left = 0.0;
@@ -750,7 +781,7 @@ impl Engine {
                 }
             }
             ExecMode::EventHeap => {
-                if self.cores.iter().all(|c| c.runnable.is_empty()) {
+                if self.cores.busy().is_empty() {
                     // Zero runnable threads: jump the whole lull.
                     self.idle_fast_forward(deadline_ns);
                 } else {
@@ -802,7 +833,7 @@ impl Engine {
     /// being strictly after `now` (guaranteed by `process_due`).
     ///
     /// This is the [`ExecMode::FixedStep`] reference: a full rescan of
-    /// the action map, every thread's sleep state and every run queue
+    /// the action map, every live thread's sleep state and every run queue
     /// on every step. [`Engine::next_event_dt_heap`] must return the
     /// identical value from the heap + speed caches.
     fn next_event_dt(&self, deadline_ns: u64) -> u64 {
@@ -815,13 +846,9 @@ impl Engine {
         if let Some((&t, _)) = self.actions.first_key_value() {
             next = next.min(t);
         }
-        for t in &self.threads {
-            if let RunState::Blocked(BlockReason::Sleep { until_ns }) = t.run {
-                next = next.min(until_ns);
-            }
-        }
+        next = next.min(self.earliest_wake());
         let mut dt = next.saturating_sub(self.now_ns);
-        for core in &self.cores {
+        for core in self.cores.iter() {
             let k = core.nr_running();
             if k == 0 {
                 continue;
@@ -848,11 +875,9 @@ impl Engine {
             next = next.min(due);
         }
         let mut dt = next.saturating_sub(self.now_ns);
-        for ci in 0..self.cores.len() {
+        for core in self.cores.busy().iter() {
+            let ci = core.0;
             let k = self.cores[ci].nr_running();
-            if k == 0 {
-                continue;
-            }
             self.refresh_speed_cache(ci);
             for i in 0..k {
                 let tid = self.cores[ci].runnable[i];
@@ -929,36 +954,35 @@ impl Engine {
         if let Some((&t, _)) = self.actions.first_key_value() {
             stop = stop.min(t);
         }
-        for t in &self.threads {
-            if let RunState::Blocked(BlockReason::Sleep { until_ns }) = t.run {
-                stop = stop.min(until_ns);
-            }
-        }
+        stop = stop.min(self.earliest_wake());
         let n = self.board.n_clusters();
-        let mut powers = [0.0f64; MAX_CLUSTERS];
-        for cluster in self.board.cluster_ids() {
-            let i = cluster.index();
-            powers[i] = cluster_power(
-                &self.board,
-                cluster,
-                self.freqs[i],
-                0.0,
-                self.board.cluster_size(cluster),
-            );
-        }
+        let powers = self.cluster_powers(&[0.0; MAX_CLUSTERS]);
         // A quiescent GTS tick reduces to `update_loads` (nothing to
         // migrate, balance or pull with every run queue empty), and
         // once every load EWMA has decayed to exactly 0.0 with no
         // runnable time pending, `update_loads` itself is a no-op —
         // from then on a tick is a pure schedule advance.
-        let mut loads_live = !self
-            .threads
-            .iter()
-            .all(|t| t.load == 0.0 && t.runnable_ns_since_tick == 0);
+        let mut loads_live = !self.live.iter().all(|&tid| {
+            let t = &self.threads[tid];
+            t.load == 0.0 && t.runnable_ns_since_tick == 0
+        });
+        let tick_ns = self.cfg.gts.tick_ns;
         loop {
-            let next = stop
-                .min(self.next_tick_ns)
-                .min(self.sensor.next_sample_ns());
+            // With no load left to decay, each tick up to the next
+            // sample or the stopper is a pure schedule advance over the
+            // same `dt`: integrate the whole run of them at once.
+            let limit = stop.min(self.sensor.next_sample_ns());
+            if !loads_live
+                && self.next_tick_ns < limit
+                && self.next_tick_ns - self.now_ns == tick_ns
+            {
+                let k = (limit - 1 - self.next_tick_ns) / tick_ns + 1;
+                self.energy.accumulate_idle_repeat(&powers[..n], tick_ns, k);
+                self.now_ns += k * tick_ns;
+                self.next_tick_ns += k * tick_ns;
+                continue;
+            }
+            let next = limit.min(self.next_tick_ns);
             self.energy
                 .accumulate_idle(&powers[..n], next - self.now_ns);
             self.now_ns = next;
@@ -967,8 +991,8 @@ impl Engine {
             }
             if self.next_tick_ns <= self.now_ns {
                 if loads_live {
-                    update_loads(&self.cfg.gts, &mut self.threads);
-                    loads_live = !self.threads.iter().all(|t| t.load == 0.0);
+                    update_loads(&self.cfg.gts, &self.live, &mut self.threads);
+                    loads_live = !self.live.iter().all(|&tid| self.threads[tid].load == 0.0);
                 }
                 self.next_tick_ns += self.cfg.gts.tick_ns;
             }
@@ -1000,22 +1024,16 @@ impl Engine {
     /// load-tracking counters and work progress.
     fn advance(&mut self, dt_ns: u64) {
         let n = self.board.n_clusters();
-        let mut busy = [0.0f64; MAX_CLUSTERS];
-        for core in &mut self.cores {
-            if core.nr_running() > 0 {
-                busy[core.cluster.index()] += 1.0;
-                core.busy_ns += dt_ns;
-            }
-        }
+        let busy = self.busy_per_cluster();
+        let powers = self.cluster_powers(&busy);
+        self.cores.charge_busy(dt_ns);
         self.energy
-            .accumulate(&self.board, &self.freqs, &busy[..n], dt_ns);
+            .accumulate_powers(&powers[..n], &busy[..n], dt_ns);
         let dt_secs = ns_to_secs(dt_ns);
         let use_cache = self.cfg.exec == ExecMode::EventHeap;
-        for ci in 0..self.cores.len() {
+        for core in self.cores.busy().iter() {
+            let ci = core.0;
             let k = self.cores[ci].nr_running();
-            if k == 0 {
-                continue;
-            }
             let share = 1.0 / k as f64;
             if use_cache {
                 self.refresh_speed_cache(ci);
@@ -1041,6 +1059,11 @@ impl Engine {
 
     /// Processes every event due at the current instant, repeating until
     /// a fixed point (completions can cascade through queues/barriers).
+    ///
+    /// Only faults, actions, wake-ups and completions can make more work
+    /// due at the same instant. A tick moves runnable threads between
+    /// queues and a sample only reads state, so neither forces another
+    /// pass on its own — a pass after one would find nothing to do.
     fn process_due(&mut self) {
         loop {
             let mut progressed = false;
@@ -1061,8 +1084,15 @@ impl Engine {
                 }
                 progressed = true;
             }
-            // Sleep wake-ups.
-            for tid in 0..self.threads.len() {
+            // Sleep wake-ups, then work-item completions, each in
+            // ascending thread order. Both walk a snapshot of the live
+            // index because a completion can finish an app mid-walk;
+            // a thread finished that way is no longer runnable, so the
+            // walk skips it exactly as a walk over every thread would.
+            let mut live = std::mem::take(&mut self.live_snapshot);
+            live.clear();
+            live.extend_from_slice(&self.live);
+            for &tid in &live {
                 if let RunState::Blocked(BlockReason::Sleep { until_ns }) = self.threads[tid].run {
                     if until_ns <= self.now_ns {
                         self.wake_duty_thread(tid);
@@ -1070,13 +1100,13 @@ impl Engine {
                     }
                 }
             }
-            // Work-item completions.
-            for tid in 0..self.threads.len() {
+            for &tid in &live {
                 if self.threads[tid].is_runnable() && self.threads[tid].work_left <= WORK_EPS {
                     self.on_work_complete(tid);
                     progressed = true;
                 }
             }
+            self.live_snapshot = live;
             // Scheduler tick.
             if self.next_tick_ns <= self.now_ns {
                 let before: Vec<Option<CoreId>> = if self.trace.is_enabled() {
@@ -1086,7 +1116,8 @@ impl Engine {
                 };
                 gts_tick(
                     &self.cfg.gts,
-                    &self.board,
+                    &self.topology,
+                    &self.live,
                     &mut self.threads,
                     &mut self.cores,
                 );
@@ -1115,7 +1146,7 @@ impl Engine {
                 self.next_tick_ns += self.cfg.gts.tick_ns;
                 let tick = self.next_tick_ns;
                 self.push_event(tick, EventKey::Tick);
-                progressed = true;
+                progressed |= tick <= self.now_ns;
             }
             // Sensor sample (dropout and stuck-at windows intercept).
             if self.sensor.next_sample_ns() <= self.now_ns {
@@ -1132,7 +1163,7 @@ impl Engine {
                 }
                 let sample = self.sensor.next_sample_ns();
                 self.push_event(sample, EventKey::Sensor);
-                progressed = true;
+                progressed |= sample <= self.now_ns;
             }
             if !progressed {
                 break;
@@ -1142,25 +1173,61 @@ impl Engine {
 
     /// Instantaneous true per-cluster power (W) — what the sensor
     /// reads, indexed by cluster.
-    fn instant_power(&self) -> [f64; MAX_CLUSTERS] {
-        let mut busy = [0.0f64; MAX_CLUSTERS];
-        for core in &self.cores {
-            if core.nr_running() > 0 {
-                busy[core.cluster.index()] += 1.0;
-            }
-        }
+    fn instant_power(&mut self) -> [f64; MAX_CLUSTERS] {
+        let busy = self.busy_per_cluster();
+        self.cluster_powers(&busy)
+    }
+
+    /// Per-cluster power draw (W) at the current frequencies with
+    /// `busy[c]` busy cores on cluster `c`. [`cluster_power`] is a pure
+    /// function of the frequency and the busy count, so in event-heap
+    /// mode a cluster whose pair is unchanged since the last call
+    /// reuses the memoized value. Like the speed cache, the memo is an
+    /// event-heap optimization: the fixed-step reference recomputes
+    /// every power on every call, so the mode-equivalence tests check it.
+    fn cluster_powers(&mut self, busy: &[f64; MAX_CLUSTERS]) -> [f64; MAX_CLUSTERS] {
+        let memoize = self.cfg.exec == ExecMode::EventHeap;
         let mut watts = [0.0f64; MAX_CLUSTERS];
         for cluster in self.board.cluster_ids() {
             let i = cluster.index();
-            watts[i] = cluster_power(
-                &self.board,
-                cluster,
-                self.freqs[i],
-                busy[i],
-                self.board.cluster_size(cluster),
-            );
+            let (freq, b) = (self.freqs[i], busy[i]);
+            let memo = &mut self.power_memo[i];
+            if !memoize || memo.0 != freq || memo.1 != b {
+                let w = cluster_power(
+                    &self.board,
+                    cluster,
+                    freq,
+                    b,
+                    self.board.cluster_size(cluster),
+                );
+                *memo = (freq, b, w);
+            }
+            watts[i] = memo.2;
         }
         watts
+    }
+
+    /// Busy cores per cluster, indexed by cluster. The counts are
+    /// integer-valued floats, so visiting only the busy cores sums them
+    /// exactly as a walk over every core would.
+    fn busy_per_cluster(&self) -> [f64; MAX_CLUSTERS] {
+        let mut busy = [0.0f64; MAX_CLUSTERS];
+        for core in self.cores.busy().iter() {
+            busy[self.cores[core.0].cluster.index()] += 1.0;
+        }
+        busy
+    }
+
+    /// The earliest wake-up instant of a sleeping duty-cycle thread
+    /// (`u64::MAX` when none sleeps).
+    fn earliest_wake(&self) -> u64 {
+        let mut wake = u64::MAX;
+        for &tid in &self.live {
+            if let RunState::Blocked(BlockReason::Sleep { until_ns }) = self.threads[tid].run {
+                wake = wake.min(until_ns);
+            }
+        }
+        wake
     }
 
     // ------------------------------------------------------------------
@@ -1286,13 +1353,24 @@ impl Engine {
         }
     }
 
-    /// Terminates an app: all threads stop consuming CPU.
+    /// Terminates an app: all threads stop consuming CPU and leave the
+    /// live index.
     fn finish_app(&mut self, app_idx: usize) {
-        self.apps[app_idx].done = true;
-        for &tid in self.apps[app_idx].threads.clone().iter() {
+        let app = &mut self.apps[app_idx];
+        if !app.done {
+            app.done = true;
+            self.done_apps += 1;
+        }
+        for &tid in &app.threads {
             dequeue_thread(tid, &self.threads, &mut self.cores);
             self.threads[tid].run = RunState::Finished;
             self.threads[tid].work_left = 0.0;
+        }
+        // An app's threads hold consecutive ids (see `add_app`).
+        if let (Some(&lo), Some(&hi)) = (app.threads.first(), app.threads.last()) {
+            let start = self.live.partition_point(|&t| t < lo);
+            let end = self.live.partition_point(|&t| t <= hi);
+            self.live.drain(start..end);
         }
     }
 
@@ -1534,5 +1612,72 @@ impl Engine {
             }
             self.pipeline_fetch(tid);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::NS_PER_SEC;
+    use crate::fault::TimedFault;
+
+    /// The engine's indexes agree with the state they summarize.
+    fn assert_indexes(e: &Engine) {
+        let live: Vec<usize> = (0..e.threads.len())
+            .filter(|&tid| e.threads[tid].run != RunState::Finished)
+            .collect();
+        assert_eq!(e.live, live, "live index != {{tid : run != Finished}}");
+        assert_eq!(e.done_apps, e.apps.iter().filter(|a| a.done).count());
+        let busy: CpuSet = e
+            .cores
+            .iter()
+            .filter(|c| c.nr_running() > 0)
+            .map(|c| c.id)
+            .collect();
+        assert_eq!(e.cores.busy(), busy, "busy set != non-empty run queues");
+    }
+
+    #[test]
+    fn live_index_tracks_churn_and_board_death() {
+        let mut e = Engine::new(BoardSpec::odroid_xu3(), EngineConfig::default());
+        e.install_faults(FaultPlan::new(vec![TimedFault {
+            at_ns: 3 * NS_PER_SEC,
+            kind: FaultKind::BoardFail,
+        }]));
+        let mut sleeper = AppSpec::data_parallel("sleeper", 1, 1.0);
+        sleeper.model = ParallelismModel::DutyCycle {
+            duty: 0.3,
+            period_ns: 20_000_000,
+        };
+        e.add_app(sleeper).expect("valid spec");
+        for i in 0..16u64 {
+            let mut spec = AppSpec::data_parallel(format!("t{i}"), 1 + i as usize % 4, 40.0);
+            spec.max_heartbeats = Some(1 + i % 3);
+            e.add_app(spec).expect("valid spec");
+            e.run_until((i + 1) * 100_000_000);
+            assert_indexes(&e);
+        }
+        assert!(e.done_apps > 0, "churn finished some apps");
+        assert!(e.live.len() < e.threads.len());
+        e.run_until(4 * NS_PER_SEC);
+        assert!(e.board_failed().is_some());
+        assert_indexes(&e);
+        assert!(e.live.is_empty(), "board death finishes every thread");
+        assert!(!e.all_done(), "a dead board leaves budgets incomplete");
+    }
+
+    #[test]
+    fn all_done_counts_finished_apps() {
+        let mut e = Engine::new(BoardSpec::odroid_xu3(), EngineConfig::default());
+        assert!(!e.all_done(), "an empty engine is not done");
+        for threads in [1, 3] {
+            let mut spec = AppSpec::data_parallel("a", threads, 20.0);
+            spec.max_heartbeats = Some(2);
+            e.add_app(spec).expect("valid spec");
+        }
+        e.run_while_active(10 * NS_PER_SEC);
+        assert!(e.all_done());
+        assert_indexes(&e);
+        assert!(e.live.is_empty());
     }
 }

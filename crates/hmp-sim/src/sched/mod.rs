@@ -6,7 +6,7 @@ pub(crate) mod gts;
 pub use gts::GtsConfig;
 
 use crate::board::ClusterId;
-use crate::cpuset::CoreId;
+use crate::cpuset::{CoreId, CpuSet};
 use crate::thread::ThreadState;
 
 /// Per-core scheduler state.
@@ -43,6 +43,71 @@ impl CoreState {
     }
 }
 
+/// Every core's run queue, plus the set of cores whose queue is
+/// non-empty. The two are kept in step so the engine's per-step walks
+/// (next completion, work integration, busy-core power) visit busy
+/// cores only. Reads go through `Deref<Target = [CoreState]>`; every
+/// queue mutation goes through [`RunQueues::enqueue`] /
+/// [`RunQueues::dequeue`], which maintain the busy set and bump the
+/// core's `rq_epoch`.
+#[derive(Debug, Clone)]
+pub(crate) struct RunQueues {
+    cores: Vec<CoreState>,
+    busy: CpuSet,
+}
+
+impl RunQueues {
+    /// Wraps freshly built (empty) per-core states.
+    pub fn new(cores: Vec<CoreState>) -> Self {
+        debug_assert!(cores.iter().all(|c| c.runnable.is_empty()));
+        Self {
+            cores,
+            busy: CpuSet::empty(),
+        }
+    }
+
+    /// The cores with at least one runnable thread.
+    pub fn busy(&self) -> CpuSet {
+        self.busy
+    }
+
+    /// Appends `tid` to `core`'s run queue.
+    pub fn enqueue(&mut self, core: CoreId, tid: usize) {
+        let c = &mut self.cores[core.0];
+        c.runnable.push(tid);
+        c.rq_epoch += 1;
+        self.busy.insert(core);
+    }
+
+    /// Removes `tid` from `core`'s run queue (swap-remove); a no-op when
+    /// the thread is not queued there.
+    pub fn dequeue(&mut self, core: CoreId, tid: usize) {
+        let c = &mut self.cores[core.0];
+        if let Some(pos) = c.runnable.iter().position(|&t| t == tid) {
+            c.runnable.swap_remove(pos);
+            c.rq_epoch += 1;
+            if c.runnable.is_empty() {
+                self.busy.remove(core);
+            }
+        }
+    }
+
+    /// Adds `dt_ns` of busy time to every busy core.
+    pub fn charge_busy(&mut self, dt_ns: u64) {
+        for core in self.busy.iter() {
+            self.cores[core.0].busy_ns += dt_ns;
+        }
+    }
+}
+
+impl std::ops::Deref for RunQueues {
+    type Target = [CoreState];
+
+    fn deref(&self) -> &[CoreState] {
+        &self.cores
+    }
+}
+
 /// Places a runnable thread on the allowed core with the fewest runnable
 /// threads (ties broken by lowest core id), preferring the thread's last
 /// core when it is tied for least loaded — which minimizes migrations,
@@ -51,7 +116,7 @@ impl CoreState {
 /// # Panics
 ///
 /// Panics if the thread's affinity mask contains no valid core.
-pub(crate) fn place_thread(tid: usize, threads: &mut [ThreadState], cores: &mut [CoreState]) {
+pub(crate) fn place_thread(tid: usize, threads: &mut [ThreadState], cores: &mut RunQueues) {
     debug_assert!(threads[tid].is_runnable(), "placing a non-runnable thread");
     let affinity = threads[tid].affinity;
     let last = threads[tid].core;
@@ -70,19 +135,14 @@ pub(crate) fn place_thread(tid: usize, threads: &mut [ThreadState], cores: &mut 
     }
     let target = best.expect("thread affinity mask has no core on this board");
     threads[tid].core = Some(target);
-    cores[target.0].runnable.push(tid);
-    cores[target.0].rq_epoch += 1;
+    cores.enqueue(target, tid);
 }
 
 /// Removes a thread from its core's run queue (e.g. when it blocks).
 /// The thread keeps its `core` field as the "last core" hint.
-pub(crate) fn dequeue_thread(tid: usize, threads: &[ThreadState], cores: &mut [CoreState]) {
+pub(crate) fn dequeue_thread(tid: usize, threads: &[ThreadState], cores: &mut RunQueues) {
     if let Some(core) = threads[tid].core {
-        let rq = &mut cores[core.0].runnable;
-        if let Some(pos) = rq.iter().position(|&t| t == tid) {
-            rq.swap_remove(pos);
-            cores[core.0].rq_epoch += 1;
-        }
+        cores.dequeue(core, tid);
     }
 }
 
@@ -91,24 +151,22 @@ pub(crate) fn migrate_thread(
     tid: usize,
     to: CoreId,
     threads: &mut [ThreadState],
-    cores: &mut [CoreState],
+    cores: &mut RunQueues,
 ) {
     dequeue_thread(tid, threads, cores);
     threads[tid].core = Some(to);
     if threads[tid].is_runnable() {
-        cores[to.0].runnable.push(tid);
-        cores[to.0].rq_epoch += 1;
+        cores.enqueue(to, tid);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpuset::CpuSet;
     use crate::thread::RunState;
 
-    fn mk_cores(n_little: usize, n_big: usize) -> Vec<CoreState> {
-        (0..n_little + n_big)
+    fn mk_cores(n_little: usize, n_big: usize) -> RunQueues {
+        let cores = (0..n_little + n_big)
             .map(|i| {
                 CoreState::new(
                     CoreId(i),
@@ -119,7 +177,8 @@ mod tests {
                     },
                 )
             })
-            .collect()
+            .collect();
+        RunQueues::new(cores)
     }
 
     fn mk_thread(affinity: CpuSet) -> ThreadState {
@@ -173,6 +232,10 @@ mod tests {
         dequeue_thread(0, &threads, &mut cores);
         assert_eq!(threads[0].core, was);
         assert_eq!(cores[was.unwrap().0].nr_running(), 0);
+        assert!(
+            cores.busy().is_empty(),
+            "an emptied queue leaves the busy set"
+        );
     }
 
     #[test]
@@ -184,6 +247,7 @@ mod tests {
         assert_eq!(threads[0].core, Some(CoreId(3)));
         assert_eq!(cores[3].nr_running(), 1);
         assert_eq!(cores.iter().map(|c| c.nr_running()).sum::<usize>(), 1);
+        assert_eq!(cores.busy(), CpuSet::single(CoreId(3)));
     }
 
     #[test]

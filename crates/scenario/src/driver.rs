@@ -12,10 +12,10 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use heartbeats::{AppId, PerfTarget};
 use hmp_sim::{BoardSpec, ClusterId, Engine, EngineConfig, FaultKind, FaultPlan, SimError};
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -283,21 +283,29 @@ fn calibration_config(engine_cfg: &EngineConfig) -> EngineConfig {
 /// `(environment, benchmark, threads, budget)` key *fleet-wide*, read
 /// concurrently by every scenario shard on the worker pool.
 ///
-/// The map sits behind a `parking_lot::RwLock` — lookups vastly
-/// outnumber inserts, so shards share read access on the hot path and
-/// only a miss takes the write lock (briefly: the calibration run
-/// itself happens *outside* the lock, so a slow calibration never
-/// blocks other shards' lookups). Two shards racing on the same cold
-/// key may both pay for the calibration; both compute the identical
-/// value (the calibration is deterministic), so last-write-wins is
-/// correct and outcomes stay bit-identical regardless of interleaving.
-/// The hit/miss counters are therefore *reporting, not fingerprinted*:
-/// with concurrent shards the split between them depends on timing
-/// (like `ScenarioOutcome::sensor_samples`, they never feed back into
-/// any decision).
+/// Misses are single-flight. Each key's slot is pending while its
+/// first claimant calibrates and holds the rate once filled; a lookup
+/// that finds a pending slot waits for the fill instead of running a
+/// calibration of its own, so [`Self::misses`] equals the number of
+/// distinct keys at any worker count. The map lock is held only to
+/// check or set a slot, never across a calibration, so a slow
+/// calibration blocks only the shards that need that very key. The
+/// claim is a drop guard: if the calibrating shard panics (the pool
+/// runs shards under `catch_unwind`), unwinding clears the pending
+/// slot and wakes the waiters, and the next of them claims the key.
+///
+/// Fleet-wide hit and miss totals are therefore deterministic, but
+/// *which* shard pays for a contended key depends on timing, so the
+/// per-shard counters are reporting, not fingerprinted (like
+/// `ScenarioOutcome::sensor_samples`, they never feed back into any
+/// decision). Values are deterministic either way: the calibration is
+/// a pure function of its key.
 #[derive(Debug, Default)]
 pub struct SharedSoloRateCache {
-    map: RwLock<HashMap<SoloKey, f64>>,
+    /// `None` while the key's first claimant is calibrating.
+    slots: Mutex<HashMap<SoloKey, Option<f64>>>,
+    /// Signalled whenever a pending slot is filled or released.
+    settled: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -310,7 +318,7 @@ impl SharedSoloRateCache {
 
     /// Calibration results currently cached.
     pub fn len(&self) -> usize {
-        self.map.read().len()
+        self.slots().values().filter(|v| v.is_some()).count()
     }
 
     /// `true` when nothing is cached yet.
@@ -318,13 +326,13 @@ impl SharedSoloRateCache {
         self.len() == 0
     }
 
-    /// Lookups served from the cache so far (reporting only — see the
-    /// type docs).
+    /// Lookups served from the cache so far, including lookups that
+    /// waited for a concurrent calibration of their key.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that paid for a calibration run so far (reporting only).
+    /// Lookups that paid for a calibration run so far.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -337,6 +345,67 @@ impl SharedSoloRateCache {
         } else {
             h as f64 / (h + m) as f64
         }
+    }
+
+    /// The slot map. No code panics while holding the lock, so a
+    /// poisoned lock still holds consistent slots.
+    fn slots(&self) -> MutexGuard<'_, HashMap<SoloKey, Option<f64>>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The cached rate of `key`, waiting out a concurrent calibration
+    /// of it; or, when nobody has calibrated it, a claim that makes
+    /// the caller its calibrator.
+    fn get_or_claim(&self, key: &SoloKey) -> Result<f64, InFlight<'_>> {
+        let mut slots = self.slots();
+        loop {
+            match slots.get(key) {
+                Some(Some(rate)) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(*rate);
+                }
+                Some(None) => {
+                    slots = self
+                        .settled
+                        .wait(slots)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                None => {
+                    slots.insert(*key, None);
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    return Err(InFlight {
+                        cache: self,
+                        key: *key,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Fills `key`'s slot and wakes its waiters.
+    fn fill(&self, key: SoloKey, rate: f64) {
+        self.slots().insert(key, Some(rate));
+        self.settled.notify_all();
+    }
+}
+
+/// A claimed [`SharedSoloRateCache`] miss, held while its calibration
+/// runs. Dropping it before the slot is filled (a panicking
+/// calibration) releases the key, so a waiter takes over the claim.
+#[derive(Debug)]
+struct InFlight<'c> {
+    cache: &'c SharedSoloRateCache,
+    key: SoloKey,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let mut slots = self.cache.slots();
+        if slots.get(&self.key) == Some(&None) {
+            slots.remove(&self.key);
+        }
+        drop(slots);
+        self.cache.settled.notify_all();
     }
 }
 
@@ -354,25 +423,25 @@ pub enum SoloCacheHandle<'a> {
     Shared(&'a SharedSoloRateCache),
 }
 
-impl SoloCacheHandle<'_> {
-    /// Looks `key` up, counting the hit/miss.
-    fn get(&mut self, key: &SoloKey) -> Option<f64> {
+impl<'a> SoloCacheHandle<'a> {
+    /// Looks `key` up, counting the hit/miss. On a miss of the shared
+    /// cache the caller holds the returned claim until it has called
+    /// [`Self::insert`].
+    fn get(&mut self, key: &SoloKey) -> Result<f64, Option<InFlight<'a>>> {
         match self {
-            SoloCacheHandle::Local(c) => {
-                let v = c.map.get(key).copied();
-                match v {
-                    Some(_) => c.hits += 1,
-                    None => c.misses += 1,
+            SoloCacheHandle::Local(c) => match c.map.get(key).copied() {
+                Some(v) => {
+                    c.hits += 1;
+                    Ok(v)
                 }
-                v
-            }
+                None => {
+                    c.misses += 1;
+                    Err(None)
+                }
+            },
             SoloCacheHandle::Shared(c) => {
-                let v = c.map.read().get(key).copied();
-                match v {
-                    Some(_) => c.hits.fetch_add(1, Ordering::Relaxed),
-                    None => c.misses.fetch_add(1, Ordering::Relaxed),
-                };
-                v
+                let c: &'a SharedSoloRateCache = c;
+                c.get_or_claim(key).map_err(Some)
             }
         }
     }
@@ -383,9 +452,7 @@ impl SoloCacheHandle<'_> {
             SoloCacheHandle::Local(c) => {
                 c.map.insert(key, value);
             }
-            SoloCacheHandle::Shared(c) => {
-                c.map.write().insert(key, value);
-            }
+            SoloCacheHandle::Shared(c) => c.fill(key, value),
         }
     }
 }
@@ -1178,16 +1245,20 @@ impl Sim<'_> {
                 }
             }
         }
-        if let Some(r) = self.solo_cache.get(&key) {
-            self.cache_hits += 1;
-            self.sink.emit(&TelemetryEvent::CacheHit {
-                t_ns,
-                bench: bench.name(),
-                threads: threads as u64,
-            });
-            self.last_good_solo.insert((bench, threads), (r, t_ns));
-            return r;
-        }
+        // Held until the calibrated value is inserted; see `InFlight`.
+        let _claim = match self.solo_cache.get(&key) {
+            Ok(r) => {
+                self.cache_hits += 1;
+                self.sink.emit(&TelemetryEvent::CacheHit {
+                    t_ns,
+                    bench: bench.name(),
+                    threads: threads as u64,
+                });
+                self.last_good_solo.insert((bench, threads), (r, t_ns));
+                return r;
+            }
+            Err(claim) => claim,
+        };
         self.cache_misses += 1;
         self.sink.emit(&TelemetryEvent::CacheMiss {
             t_ns,
@@ -1349,5 +1420,69 @@ impl TenantState {
     /// The tenant's absolute target center given the solo rate.
     fn target_frac_center(&self, solo_rate: f64) -> f64 {
         (self.ts.target_frac * solo_rate).max(f64::MIN_POSITIVE)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+    use std::thread;
+    use std::time::Duration;
+
+    const KEY: SoloKey = (7, Benchmark::Swaptions, 4, 100);
+
+    #[test]
+    fn concurrent_misses_on_one_key_calibrate_once() {
+        let cache = SharedSoloRateCache::new();
+        let claimed = Barrier::new(2);
+        thread::scope(|s| {
+            s.spawn(|| {
+                let mut h = SoloCacheHandle::Shared(&cache);
+                let claim = h.get(&KEY).expect_err("cold key");
+                claimed.wait();
+                // Let the second lookup find the slot pending.
+                thread::sleep(Duration::from_millis(50));
+                h.insert(KEY, 2.5);
+                drop(claim);
+            });
+            s.spawn(|| {
+                claimed.wait();
+                let mut h = SoloCacheHandle::Shared(&cache);
+                assert_eq!(
+                    h.get(&KEY).ok(),
+                    Some(2.5),
+                    "waits for the first calibration"
+                );
+            });
+        });
+        assert_eq!((cache.misses(), cache.hits(), cache.len()), (1, 1, 1));
+    }
+
+    #[test]
+    fn a_panicking_calibrator_releases_its_waiters() {
+        let cache = SharedSoloRateCache::new();
+        let claimed = Barrier::new(2);
+        thread::scope(|s| {
+            let failed = s.spawn(|| {
+                let mut h = SoloCacheHandle::Shared(&cache);
+                let _claim = h.get(&KEY).expect_err("cold key");
+                claimed.wait();
+                thread::sleep(Duration::from_millis(20));
+                panic!("calibration failed");
+            });
+            let next = s.spawn(|| {
+                claimed.wait();
+                let mut h = SoloCacheHandle::Shared(&cache);
+                let claim = h.get(&KEY).expect_err("the released key is claimed again");
+                h.insert(KEY, 1.5);
+                drop(claim);
+            });
+            assert!(failed.join().is_err());
+            next.join().expect("the waiter took over the calibration");
+        });
+        assert_eq!((cache.misses(), cache.len()), (2, 1));
+        let mut h = SoloCacheHandle::Shared(&cache);
+        assert_eq!(h.get(&KEY).ok(), Some(1.5));
     }
 }
