@@ -21,16 +21,14 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::process::ExitCode;
 
+use hars_core::TelemetryEvent;
 use hars_obs::parse_capture;
 
-/// Events per kind, from the raw capture lines.
-fn counts_by_kind(lines: &[&str]) -> BTreeMap<String, u64> {
+/// Events per kind.
+fn counts_by_kind(events: &[TelemetryEvent]) -> BTreeMap<&'static str, u64> {
     let mut by_kind = BTreeMap::new();
-    for line in lines {
-        // Every schema-valid line leads with {"event":"<kind>", — the
-        // parser has already enforced that.
-        let kind = line.split('"').nth(3).unwrap_or("unparsed").to_string();
-        *by_kind.entry(kind).or_insert(0u64) += 1;
+    for event in events {
+        *by_kind.entry(event.kind()).or_insert(0u64) += 1;
     }
     by_kind
 }
@@ -81,8 +79,8 @@ fn run() -> Result<bool, String> {
     let text_b = fs::read_to_string(path_b).map_err(|e| format!("read {path_b}: {e}"))?;
     // Strict validation first: a diff against a malformed capture
     // would report garbage as divergence.
-    parse_capture(&text_a).map_err(|e| format!("{path_a}: {e}"))?;
-    parse_capture(&text_b).map_err(|e| format!("{path_b}: {e}"))?;
+    let events_a = parse_capture(&text_a).map_err(|e| format!("{path_a}: {e}"))?;
+    let events_b = parse_capture(&text_b).map_err(|e| format!("{path_b}: {e}"))?;
 
     let lines_a: Vec<&str> = text_a.lines().filter(|l| !l.trim().is_empty()).collect();
     let lines_b: Vec<&str> = text_b.lines().filter(|l| !l.trim().is_empty()).collect();
@@ -116,9 +114,8 @@ fn run() -> Result<bool, String> {
 
     // The per-kind delta table: which event classes moved, and by how
     // much — the aggregate view of the divergence.
-    let (ca, cb) = (counts_by_kind(&lines_a), counts_by_kind(&lines_b));
-    let kinds: Vec<&String> = ca.keys().chain(cb.keys()).collect();
-    let mut kinds: Vec<&String> = kinds;
+    let (ca, cb) = (counts_by_kind(&events_a), counts_by_kind(&events_b));
+    let mut kinds: Vec<&str> = ca.keys().chain(cb.keys()).copied().collect();
     kinds.sort();
     kinds.dedup();
     println!();

@@ -1,5 +1,6 @@
 //! Streaming telemetry: the serializable event vocabulary the runtime
-//! emits and the [`TelemetrySink`] trait consumers implement.
+//! emits, its line codec, and the [`TelemetrySink`] trait consumers
+//! implement.
 //!
 //! The runtime's observability surface is a flat stream of
 //! [`TelemetryEvent`]s — per-decision search cost stamped with the
@@ -12,125 +13,225 @@
 //! streams for tests, and the scenario crate's `JsonlSink` writes one
 //! JSON object per line for dashboards and replay.
 //!
-//! Serialization is hand-written ([`TelemetryEvent::to_json`]): the
-//! workspace's offline serde shim has no-op derives, and a hand-rolled
-//! line format is also what keeps the schema hash
-//! ([`schema_text`]) honest — CI recomputes it and fails when the
-//! vocabulary drifts without the golden being updated.
+//! The vocabulary is declared once, in the table at the
+//! `telemetry_events!` invocation below: one row per event, giving its
+//! variant, its kind string and its typed, documented fields. The table
+//! generates the [`TelemetryEvent`] enum, [`SCHEMA`],
+//! [`TelemetryEvent::kind`], [`TelemetryEvent::t_ns`],
+//! [`TelemetryEvent::to_json`] and the strict decoder behind
+//! [`parse_line`], so adding an event is adding a row.
+//!
+//! Serialization is hand-written: the workspace's offline serde shim
+//! has no-op derives, and a hand-rolled line format is also what keeps
+//! the schema hash ([`schema_text`]) honest — CI recomputes it and
+//! fails when the vocabulary drifts without the golden being updated.
+
+mod codec;
+
+pub use codec::{parse_capture, parse_line, Interner, ParseError};
+use codec::{Field, Reader};
 
 use crate::search::SearchStats;
-use crate::state::SystemState;
 
-/// One telemetry event. Every variant carries the emission instant
-/// `t_ns` (engine clock); [`TelemetryEvent::kind`] is the stable
-/// discriminator the JSON lines lead with.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TelemetryEvent {
+/// The schema field names of one table row: `t_ns`, then each field's
+/// name, or its listed members when the field is flattened.
+macro_rules! schema_keys {
+    ([$($key:expr),*]) => { &[$($key),*] };
+    ([$($key:expr),*] $field:ident [$($member:ident),+] $($rest:tt)*) => {
+        schema_keys!([$($key,)* $(stringify!($member)),+] $($rest)*)
+    };
+    ([$($key:expr),*] $field:ident $($rest:tt)*) => {
+        schema_keys!([$($key,)* stringify!($field)] $($rest)*)
+    };
+}
+
+/// Appends one table field as `,"name":value`, or each listed member
+/// of a flattened field in turn.
+macro_rules! encode_field {
+    ($out:ident, $field:ident [$($member:ident),+]) => {
+        $(
+            $out.push_str(concat!(",\"", stringify!($member), "\":"));
+            $field.$member.encode(&mut $out);
+        )+
+    };
+    ($out:ident, $field:ident) => {
+        $out.push_str(concat!(",\"", stringify!($field), "\":"));
+        $field.encode(&mut $out);
+    };
+}
+
+/// Reads one table field back, mirroring `encode_field!`.
+macro_rules! decode_field {
+    ($r:ident, $field:ident: $ty:ty [$($member:ident),+]) => {{
+        // A struct literal cannot name a `ty` fragment; an alias can.
+        type Flat = $ty;
+        Flat {
+            $($member: $r.field(stringify!($member))?,)+
+        }
+    }};
+    ($r:ident, $field:ident: $ty:ty) => {
+        $r.field(stringify!($field))?
+    };
+}
+
+/// Expands the vocabulary table into the event enum, `SCHEMA`, and
+/// the encoder and decoder. Every row gets a leading `t_ns: u64`
+/// field. A field followed by `[a, b, ...]` is flattened: it is written
+/// as its struct's members `a`, `b`, ... in that order.
+macro_rules! telemetry_events {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $kind:literal {
+            $($(#[$fdoc:meta])* $field:ident: $ty:ty $([$($member:ident),+])?),* $(,)?
+        }
+    )*) => {
+        /// One telemetry event. Every variant carries the emission instant
+        /// `t_ns` (engine clock); [`TelemetryEvent::kind`] is the stable
+        /// discriminator the JSON lines lead with.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum TelemetryEvent {
+            $(
+                $(#[$doc])*
+                $variant {
+                    /// Emission instant (engine ns).
+                    t_ns: u64,
+                    $($(#[$fdoc])* $field: $ty,)*
+                },
+            )*
+        }
+
+        /// The stable event vocabulary: `(kind, field names)` per variant,
+        /// in emission-format order. This is what the schema hash covers —
+        /// adding an event or a field changes it, value changes do not.
+        pub const SCHEMA: &[(&str, &[&str])] = &[
+            $(($kind, schema_keys!(["t_ns"] $($field $([$($member),+])?)*)),)*
+        ];
+
+        impl TelemetryEvent {
+            /// The stable discriminator: the row's kind string in the
+            /// vocabulary table.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Self::$variant { .. } => $kind,)*
+                }
+            }
+
+            /// The emission instant (engine ns).
+            pub fn t_ns(&self) -> u64 {
+                match self {
+                    $(Self::$variant { t_ns, .. })|* => *t_ns,
+                }
+            }
+
+            /// One JSON object (no trailing newline), field order as in
+            /// [`SCHEMA`]. Floats use Rust's shortest round-trip form
+            /// (`{:?}`) when finite and `null` otherwise; strings escape
+            /// `"`, `\`, newline and tab — exactly what [`parse_line`]
+            /// decodes.
+            pub fn to_json(&self) -> String {
+                let mut out = String::with_capacity(128);
+                match self {
+                    $(Self::$variant { t_ns, $($field),* } => {
+                        out.push_str(concat!("{\"event\":\"", $kind, "\",\"t_ns\":"));
+                        t_ns.encode(&mut out);
+                        $(encode_field!(out, $field $([$($member),+])?);)*
+                    })*
+                }
+                out.push('}');
+                out
+            }
+
+            /// Reads a `kind` event's fields from `r`, in schema order.
+            fn decode(kind: &str, r: &mut Reader<'_>) -> Result<Self, String> {
+                Ok(match kind {
+                    $($kind => Self::$variant {
+                        t_ns: r.field("t_ns")?,
+                        $($field: decode_field!(r, $field: $ty $([$($member),+])?),)*
+                    },)*
+                    _ => return Err(format!("unknown event kind {kind:?}")),
+                })
+            }
+        }
+    };
+}
+
+telemetry_events! {
     /// A runtime-manager decision: which app re-pinned, under which
     /// config version, at what modeled search cost.
-    Decision {
-        /// Emission instant (engine ns).
-        t_ns: u64,
+    Decision = "decision" {
         /// The deciding application's id.
         app: u64,
         /// The manager's config version at decision time.
         config_version: u64,
-        /// The decision's search-cost accounting.
-        stats: SearchStats,
-    },
+        /// The decision's search-cost accounting, written flattened as
+        /// its six members.
+        stats: SearchStats [explored, evaluated, best_rank_changes, wall_ns, nodes, truncated],
+    }
     /// A [`ConfigDelta`](crate::config::ConfigDelta) was accepted.
-    ConfigApplied {
-        /// Emission instant (engine ns).
-        t_ns: u64,
+    ConfigApplied = "config_applied" {
         /// The version the manager moved to.
         version: u64,
-    },
+    }
     /// A [`ConfigDelta`](crate::config::ConfigDelta) was rejected.
-    ConfigRejected {
-        /// Emission instant (engine ns).
-        t_ns: u64,
+    ConfigRejected = "config_rejected" {
         /// The stable [`RejectReason::code`](crate::config::RejectReason::code).
         reason: &'static str,
-    },
+    }
     /// An admission verdict for one arriving (or queue-drained) tenant.
-    AdmissionVerdict {
-        /// Emission instant (engine ns).
-        t_ns: u64,
+    AdmissionVerdict = "admission" {
         /// Tenant index in arrival order.
         tenant: u64,
         /// `"admit"`, `"queue"` or `"reject"`.
         verdict: &'static str,
-    },
+    }
     /// The admission policy was swapped mid-run.
-    AdmissionSwapped {
-        /// Emission instant (engine ns).
-        t_ns: u64,
+    AdmissionSwapped = "admission_swapped" {
         /// The new policy's display name.
         policy: &'static str,
-    },
+    }
     /// The scenario's SLO guard band changed mid-run (applies to
     /// tenants registered from now on).
-    GuardChanged {
-        /// Emission instant (engine ns).
-        t_ns: u64,
+    GuardChanged = "guard_changed" {
         /// The new guard fraction.
         target_guard: f64,
-    },
+    }
     /// A tenant's windowed rate crossed its target minimum (either
     /// direction). Emitted on transitions only, not per heartbeat.
-    SatisfactionFlip {
-        /// Emission instant (engine ns).
-        t_ns: u64,
+    SatisfactionFlip = "satisfaction" {
         /// Tenant index in arrival order.
         tenant: u64,
         /// `true`: now meeting the target minimum.
         satisfied: bool,
-    },
+    }
     /// One cluster's average power so far (reported at reconfigure
     /// instants and at scenario end).
-    ClusterPower {
-        /// Emission instant (engine ns).
-        t_ns: u64,
+    ClusterPower = "cluster_power" {
         /// Cluster index.
         cluster: usize,
         /// Average power over [0, `t_ns`] (W).
         watts: f64,
-    },
-    /// The initial system state a single-app manager applied (emitted
-    /// by drivers that wire a sink through `initial_decision`).
-    InitialState {
-        /// Emission instant (engine ns).
-        t_ns: u64,
-        /// The applied state.
-        state: SystemState,
-    },
+    }
     /// A solo-rate calibration lookup was served from the cache: the
     /// tenant's target resolved without an isolated calibration run.
-    CacheHit {
-        /// Emission instant (engine ns).
-        t_ns: u64,
+    CacheHit = "cache_hit" {
         /// The benchmark whose solo rate was requested.
         bench: &'static str,
         /// The requested thread count.
         threads: u64,
-    },
+    }
     /// A solo-rate calibration lookup missed: an isolated calibration
     /// run was paid for and its result inserted into the cache.
-    CacheMiss {
-        /// Emission instant (engine ns).
-        t_ns: u64,
+    CacheMiss = "cache_miss" {
         /// The benchmark whose solo rate was requested.
         bench: &'static str,
         /// The requested thread count.
         threads: u64,
-    },
+    }
     /// A fleet placement decision: which board an arriving tenant was
     /// routed to, at what estimated-load score. Emitted by the fleet
     /// placement tier; `board` is `u64::MAX` for fleet-rejected
     /// tenants (every board's admission gate refused the arrival).
-    Placement {
-        /// Emission instant (engine ns).
-        t_ns: u64,
+    Placement = "placement" {
         /// Tenant index in fleet arrival order.
         tenant: u64,
         /// The chosen board's shard index (`u64::MAX` = rejected).
@@ -138,15 +239,13 @@ pub enum TelemetryEvent {
         /// The chosen board's placement score (estimated load plus
         /// penalties; lower is better). Infinity for rejections.
         score: f64,
-    },
+    }
     /// A tenant crossed from the admission gate into the runtime: its
     /// target band is resolved and the app is registered. Carries the
     /// class identity (benchmark) the observability layer's SLO
     /// rollups group by, and the admission-queue wait the
     /// queue-percentile histograms fold in.
-    TenantAdmitted {
-        /// Emission instant (engine ns).
-        t_ns: u64,
+    TenantAdmitted = "tenant_admitted" {
         /// Tenant index in arrival order.
         tenant: u64,
         /// The tenant's benchmark (its template class).
@@ -158,53 +257,45 @@ pub enum TelemetryEvent {
         /// Time spent waiting for admission (ns; 0 when admitted on
         /// arrival).
         queue_wait_ns: u64,
-    },
+    }
     /// A tenant finished its heartbeat budget and left the runtime.
     /// Closes the tenant's timeline; tenants still running at the
     /// scenario horizon never emit one.
-    TenantDeparted {
-        /// Emission instant (engine ns).
-        t_ns: u64,
+    TenantDeparted = "tenant_departed" {
         /// Tenant index in arrival order.
         tenant: u64,
         /// Heartbeats the tenant emitted over its whole tenancy.
         heartbeats: u64,
-    },
+    }
     /// One rated heartbeat: the tenant's windowed rate at this
     /// instant, and whether it cleared the tenant's own target-band
     /// minimum. This is the per-tenant heartbeat-latency series —
     /// high-volume by design (one event per rated heartbeat), which
     /// the free [`NullSink`] default makes costless.
-    HeartbeatRate {
-        /// Emission instant (engine ns).
-        t_ns: u64,
+    HeartbeatRate = "heartbeat_rate" {
         /// Tenant index in arrival order.
         tenant: u64,
         /// The windowed heartbeat rate (hb/s).
         rate_hz: f64,
         /// `true` when `rate_hz` meets the tenant's target minimum.
         satisfied: bool,
-    },
+    }
     /// A platform fault was injected by the deterministic fault plane
     /// (`hmp_sim::FaultPlan`). `cluster` is `-1` for board-scoped
     /// faults; `until_ns` is `u64::MAX` for permanent ones.
-    FaultInjected {
-        /// Emission instant (engine ns).
-        t_ns: u64,
-        /// The fault's stable discriminator (`"board_fail"`,
-        /// `"cluster_cap"`, `"sensor_dropout"`, ...).
+    FaultInjected = "fault_injected" {
+        /// The fault's stable discriminator
+        /// ([`FaultKind::name`](hmp_sim::FaultKind::name)).
         fault: &'static str,
         /// Affected cluster index, `-1` when board-scoped.
         cluster: i64,
         /// Recovery instant (exclusive; `u64::MAX` = permanent).
         until_ns: u64,
-    },
+    }
     /// The runtime quarantined a cluster in reaction to a thermal-cap
     /// or offline fault: the manager's search space no longer grows
     /// onto it and its frequency is pinned.
-    ClusterQuarantined {
-        /// Emission instant (engine ns).
-        t_ns: u64,
+    ClusterQuarantined = "cluster_quarantined" {
         /// Quarantined cluster index.
         cluster: usize,
         /// `"cap"` (frequency pinned at the floor) or `"offline"`
@@ -212,41 +303,34 @@ pub enum TelemetryEvent {
         mode: &'static str,
         /// Quarantine expiry (exclusive; `u64::MAX` = permanent).
         until_ns: u64,
-    },
+    }
     /// A cluster's quarantine expired: the runtime returned it to the
     /// search space.
-    ClusterRestored {
-        /// Emission instant (engine ns).
-        t_ns: u64,
+    ClusterRestored = "cluster_restored" {
         /// Restored cluster index.
         cluster: usize,
-    },
+    }
     /// The board died mid-run: serving stops, in-flight tenants are
     /// marked for failover by the fleet supervisor.
-    BoardFailed {
-        /// Emission instant (engine ns).
-        t_ns: u64,
+    BoardFailed = "board_failed" {
         /// Tenants that were in flight (admitted, budget incomplete).
         tenants_in_flight: u64,
-    },
+    }
     /// Degraded-mode calibration: a sensor-fault window was active at
     /// admission, so the tenant's target was resolved from the
     /// last-known-good solo rate instead of a fresh calibration run.
-    DegradedCalibration {
-        /// Emission instant (engine ns).
-        t_ns: u64,
+    DegradedCalibration = "degraded_calibration" {
         /// Tenant index in arrival order.
         tenant: u64,
         /// The benchmark whose stale solo rate was reused.
         bench: &'static str,
         /// Staleness of the reused rate (ns since it was calibrated).
         age_ns: u64,
-    },
+    }
     /// The fleet supervisor failed a tenant over from a dead board onto
-    /// a surviving one (capped retries, deterministic backoff).
-    TenantFailedOver {
-        /// Emission instant (engine ns): the rescheduled arrival.
-        t_ns: u64,
+    /// a surviving one (capped retries, deterministic backoff). `t_ns`
+    /// is the rescheduled arrival.
+    TenantFailedOver = "tenant_failed_over" {
         /// Tenant index in fleet arrival order.
         tenant: u64,
         /// The dead board's shard index.
@@ -256,70 +340,8 @@ pub enum TelemetryEvent {
         to_board: u64,
         /// Failover attempt number (1-based).
         attempt: u64,
-    },
+    }
 }
-
-/// The stable event vocabulary: `(kind, field names)` per variant, in
-/// emission-format order. This is what the schema hash covers — adding
-/// an event or a field changes it, value changes do not.
-pub const SCHEMA: &[(&str, &[&str])] = &[
-    (
-        "decision",
-        &[
-            "t_ns",
-            "app",
-            "config_version",
-            "explored",
-            "evaluated",
-            "best_rank_changes",
-            "wall_ns",
-            "nodes",
-            "truncated",
-        ],
-    ),
-    ("config_applied", &["t_ns", "version"]),
-    ("config_rejected", &["t_ns", "reason"]),
-    ("admission", &["t_ns", "tenant", "verdict"]),
-    ("admission_swapped", &["t_ns", "policy"]),
-    ("guard_changed", &["t_ns", "target_guard"]),
-    ("satisfaction", &["t_ns", "tenant", "satisfied"]),
-    ("cluster_power", &["t_ns", "cluster", "watts"]),
-    ("initial_state", &["t_ns", "state"]),
-    ("cache_hit", &["t_ns", "bench", "threads"]),
-    ("cache_miss", &["t_ns", "bench", "threads"]),
-    ("placement", &["t_ns", "tenant", "board", "score"]),
-    (
-        "tenant_admitted",
-        &[
-            "t_ns",
-            "tenant",
-            "bench",
-            "threads",
-            "target_min",
-            "queue_wait_ns",
-        ],
-    ),
-    ("tenant_departed", &["t_ns", "tenant", "heartbeats"]),
-    (
-        "heartbeat_rate",
-        &["t_ns", "tenant", "rate_hz", "satisfied"],
-    ),
-    ("fault_injected", &["t_ns", "fault", "cluster", "until_ns"]),
-    (
-        "cluster_quarantined",
-        &["t_ns", "cluster", "mode", "until_ns"],
-    ),
-    ("cluster_restored", &["t_ns", "cluster"]),
-    ("board_failed", &["t_ns", "tenants_in_flight"]),
-    (
-        "degraded_calibration",
-        &["t_ns", "tenant", "bench", "age_ns"],
-    ),
-    (
-        "tenant_failed_over",
-        &["t_ns", "tenant", "from_board", "to_board", "attempt"],
-    ),
-];
 
 /// The canonical schema text (one `kind: field,field,...` line per
 /// event) whose SHA-256 is the CI schema golden
@@ -336,33 +358,6 @@ pub fn schema_text() -> String {
 }
 
 impl TelemetryEvent {
-    /// The stable discriminator (`"decision"`, `"config_applied"`, ...).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TelemetryEvent::Decision { .. } => "decision",
-            TelemetryEvent::ConfigApplied { .. } => "config_applied",
-            TelemetryEvent::ConfigRejected { .. } => "config_rejected",
-            TelemetryEvent::AdmissionVerdict { .. } => "admission",
-            TelemetryEvent::AdmissionSwapped { .. } => "admission_swapped",
-            TelemetryEvent::GuardChanged { .. } => "guard_changed",
-            TelemetryEvent::SatisfactionFlip { .. } => "satisfaction",
-            TelemetryEvent::ClusterPower { .. } => "cluster_power",
-            TelemetryEvent::InitialState { .. } => "initial_state",
-            TelemetryEvent::CacheHit { .. } => "cache_hit",
-            TelemetryEvent::CacheMiss { .. } => "cache_miss",
-            TelemetryEvent::Placement { .. } => "placement",
-            TelemetryEvent::TenantAdmitted { .. } => "tenant_admitted",
-            TelemetryEvent::TenantDeparted { .. } => "tenant_departed",
-            TelemetryEvent::HeartbeatRate { .. } => "heartbeat_rate",
-            TelemetryEvent::FaultInjected { .. } => "fault_injected",
-            TelemetryEvent::ClusterQuarantined { .. } => "cluster_quarantined",
-            TelemetryEvent::ClusterRestored { .. } => "cluster_restored",
-            TelemetryEvent::BoardFailed { .. } => "board_failed",
-            TelemetryEvent::DegradedCalibration { .. } => "degraded_calibration",
-            TelemetryEvent::TenantFailedOver { .. } => "tenant_failed_over",
-        }
-    }
-
     /// The tenant a tenant-scoped event refers to (arrival-order
     /// index), `None` for run-scoped events. The observability layer's
     /// per-tenant timelines key on this.
@@ -377,207 +372,6 @@ impl TelemetryEvent {
             | TelemetryEvent::DegradedCalibration { tenant, .. }
             | TelemetryEvent::TenantFailedOver { tenant, .. } => Some(*tenant),
             _ => None,
-        }
-    }
-
-    /// The emission instant (engine ns).
-    pub fn t_ns(&self) -> u64 {
-        match self {
-            TelemetryEvent::Decision { t_ns, .. }
-            | TelemetryEvent::ConfigApplied { t_ns, .. }
-            | TelemetryEvent::ConfigRejected { t_ns, .. }
-            | TelemetryEvent::AdmissionVerdict { t_ns, .. }
-            | TelemetryEvent::AdmissionSwapped { t_ns, .. }
-            | TelemetryEvent::GuardChanged { t_ns, .. }
-            | TelemetryEvent::SatisfactionFlip { t_ns, .. }
-            | TelemetryEvent::ClusterPower { t_ns, .. }
-            | TelemetryEvent::InitialState { t_ns, .. }
-            | TelemetryEvent::CacheHit { t_ns, .. }
-            | TelemetryEvent::CacheMiss { t_ns, .. }
-            | TelemetryEvent::Placement { t_ns, .. }
-            | TelemetryEvent::TenantAdmitted { t_ns, .. }
-            | TelemetryEvent::TenantDeparted { t_ns, .. }
-            | TelemetryEvent::HeartbeatRate { t_ns, .. }
-            | TelemetryEvent::FaultInjected { t_ns, .. }
-            | TelemetryEvent::ClusterQuarantined { t_ns, .. }
-            | TelemetryEvent::ClusterRestored { t_ns, .. }
-            | TelemetryEvent::BoardFailed { t_ns, .. }
-            | TelemetryEvent::DegradedCalibration { t_ns, .. }
-            | TelemetryEvent::TenantFailedOver { t_ns, .. } => *t_ns,
-        }
-    }
-
-    /// One JSON object (no trailing newline), field order as in
-    /// [`SCHEMA`]. Floats are formatted with Rust's shortest
-    /// round-trip representation (`{:?}`), which is valid JSON for
-    /// every finite value.
-    pub fn to_json(&self) -> String {
-        match self {
-            TelemetryEvent::Decision {
-                t_ns,
-                app,
-                config_version,
-                stats,
-            } => format!(
-                concat!(
-                    "{{\"event\":\"decision\",\"t_ns\":{},\"app\":{},",
-                    "\"config_version\":{},\"explored\":{},\"evaluated\":{},",
-                    "\"best_rank_changes\":{},\"wall_ns\":{},\"nodes\":{},",
-                    "\"truncated\":{}}}"
-                ),
-                t_ns,
-                app,
-                config_version,
-                stats.explored,
-                stats.evaluated,
-                stats.best_rank_changes,
-                stats.wall_ns,
-                stats.nodes,
-                stats.truncated
-            ),
-            TelemetryEvent::ConfigApplied { t_ns, version } => {
-                format!("{{\"event\":\"config_applied\",\"t_ns\":{t_ns},\"version\":{version}}}")
-            }
-            TelemetryEvent::ConfigRejected { t_ns, reason } => {
-                format!("{{\"event\":\"config_rejected\",\"t_ns\":{t_ns},\"reason\":\"{reason}\"}}")
-            }
-            TelemetryEvent::AdmissionVerdict {
-                t_ns,
-                tenant,
-                verdict,
-            } => format!(
-                "{{\"event\":\"admission\",\"t_ns\":{t_ns},\"tenant\":{tenant},\"verdict\":\"{verdict}\"}}"
-            ),
-            TelemetryEvent::AdmissionSwapped { t_ns, policy } => {
-                format!("{{\"event\":\"admission_swapped\",\"t_ns\":{t_ns},\"policy\":\"{policy}\"}}")
-            }
-            TelemetryEvent::GuardChanged { t_ns, target_guard } => format!(
-                "{{\"event\":\"guard_changed\",\"t_ns\":{t_ns},\"target_guard\":{target_guard:?}}}"
-            ),
-            TelemetryEvent::SatisfactionFlip {
-                t_ns,
-                tenant,
-                satisfied,
-            } => format!(
-                "{{\"event\":\"satisfaction\",\"t_ns\":{t_ns},\"tenant\":{tenant},\"satisfied\":{satisfied}}}"
-            ),
-            TelemetryEvent::ClusterPower {
-                t_ns,
-                cluster,
-                watts,
-            } => format!(
-                "{{\"event\":\"cluster_power\",\"t_ns\":{t_ns},\"cluster\":{cluster},\"watts\":{watts:?}}}"
-            ),
-            TelemetryEvent::InitialState { t_ns, state } => {
-                format!("{{\"event\":\"initial_state\",\"t_ns\":{t_ns},\"state\":\"{state}\"}}")
-            }
-            TelemetryEvent::CacheHit {
-                t_ns,
-                bench,
-                threads,
-            } => format!(
-                "{{\"event\":\"cache_hit\",\"t_ns\":{t_ns},\"bench\":\"{bench}\",\"threads\":{threads}}}"
-            ),
-            TelemetryEvent::CacheMiss {
-                t_ns,
-                bench,
-                threads,
-            } => format!(
-                "{{\"event\":\"cache_miss\",\"t_ns\":{t_ns},\"bench\":\"{bench}\",\"threads\":{threads}}}"
-            ),
-            TelemetryEvent::Placement {
-                t_ns,
-                tenant,
-                board,
-                score,
-            } => {
-                // A rejection's score is infinite; `null` keeps the
-                // line valid JSON (`{:?}` would print bare `inf`).
-                let score = if score.is_finite() {
-                    format!("{score:?}")
-                } else {
-                    "null".to_string()
-                };
-                format!(
-                    "{{\"event\":\"placement\",\"t_ns\":{t_ns},\"tenant\":{tenant},\"board\":{board},\"score\":{score}}}"
-                )
-            }
-            TelemetryEvent::TenantAdmitted {
-                t_ns,
-                tenant,
-                bench,
-                threads,
-                target_min,
-                queue_wait_ns,
-            } => format!(
-                concat!(
-                    "{{\"event\":\"tenant_admitted\",\"t_ns\":{},\"tenant\":{},",
-                    "\"bench\":\"{}\",\"threads\":{},\"target_min\":{:?},",
-                    "\"queue_wait_ns\":{}}}"
-                ),
-                t_ns, tenant, bench, threads, target_min, queue_wait_ns
-            ),
-            TelemetryEvent::TenantDeparted {
-                t_ns,
-                tenant,
-                heartbeats,
-            } => format!(
-                "{{\"event\":\"tenant_departed\",\"t_ns\":{t_ns},\"tenant\":{tenant},\"heartbeats\":{heartbeats}}}"
-            ),
-            TelemetryEvent::HeartbeatRate {
-                t_ns,
-                tenant,
-                rate_hz,
-                satisfied,
-            } => format!(
-                "{{\"event\":\"heartbeat_rate\",\"t_ns\":{t_ns},\"tenant\":{tenant},\"rate_hz\":{rate_hz:?},\"satisfied\":{satisfied}}}"
-            ),
-            TelemetryEvent::FaultInjected {
-                t_ns,
-                fault,
-                cluster,
-                until_ns,
-            } => format!(
-                "{{\"event\":\"fault_injected\",\"t_ns\":{t_ns},\"fault\":\"{fault}\",\"cluster\":{cluster},\"until_ns\":{until_ns}}}"
-            ),
-            TelemetryEvent::ClusterQuarantined {
-                t_ns,
-                cluster,
-                mode,
-                until_ns,
-            } => format!(
-                "{{\"event\":\"cluster_quarantined\",\"t_ns\":{t_ns},\"cluster\":{cluster},\"mode\":\"{mode}\",\"until_ns\":{until_ns}}}"
-            ),
-            TelemetryEvent::ClusterRestored { t_ns, cluster } => {
-                format!("{{\"event\":\"cluster_restored\",\"t_ns\":{t_ns},\"cluster\":{cluster}}}")
-            }
-            TelemetryEvent::BoardFailed {
-                t_ns,
-                tenants_in_flight,
-            } => format!(
-                "{{\"event\":\"board_failed\",\"t_ns\":{t_ns},\"tenants_in_flight\":{tenants_in_flight}}}"
-            ),
-            TelemetryEvent::DegradedCalibration {
-                t_ns,
-                tenant,
-                bench,
-                age_ns,
-            } => format!(
-                "{{\"event\":\"degraded_calibration\",\"t_ns\":{t_ns},\"tenant\":{tenant},\"bench\":\"{bench}\",\"age_ns\":{age_ns}}}"
-            ),
-            TelemetryEvent::TenantFailedOver {
-                t_ns,
-                tenant,
-                from_board,
-                to_board,
-                attempt,
-            } => format!(
-                concat!(
-                    "{{\"event\":\"tenant_failed_over\",\"t_ns\":{},\"tenant\":{},",
-                    "\"from_board\":{},\"to_board\":{},\"attempt\":{}}}"
-                ),
-                t_ns, tenant, from_board, to_board, attempt
-            ),
         }
     }
 }
@@ -631,138 +425,6 @@ impl TelemetrySink for VecSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kinds_match_schema() {
-        let events = [
-            TelemetryEvent::Decision {
-                t_ns: 1,
-                app: 2,
-                config_version: 0,
-                stats: SearchStats::default(),
-            },
-            TelemetryEvent::ConfigApplied {
-                t_ns: 1,
-                version: 1,
-            },
-            TelemetryEvent::ConfigRejected {
-                t_ns: 1,
-                reason: "zero-budget",
-            },
-            TelemetryEvent::AdmissionVerdict {
-                t_ns: 1,
-                tenant: 0,
-                verdict: "admit",
-            },
-            TelemetryEvent::AdmissionSwapped {
-                t_ns: 1,
-                policy: "capacity-gate",
-            },
-            TelemetryEvent::GuardChanged {
-                t_ns: 1,
-                target_guard: 0.1,
-            },
-            TelemetryEvent::SatisfactionFlip {
-                t_ns: 1,
-                tenant: 0,
-                satisfied: true,
-            },
-            TelemetryEvent::ClusterPower {
-                t_ns: 1,
-                cluster: 0,
-                watts: 1.5,
-            },
-            TelemetryEvent::InitialState {
-                t_ns: 0,
-                state: SystemState::new(&[(1, hmp_sim::FreqKhz::from_mhz(1_000))]),
-            },
-            TelemetryEvent::CacheHit {
-                t_ns: 1,
-                bench: "swaptions",
-                threads: 8,
-            },
-            TelemetryEvent::CacheMiss {
-                t_ns: 1,
-                bench: "swaptions",
-                threads: 8,
-            },
-            TelemetryEvent::Placement {
-                t_ns: 1,
-                tenant: 3,
-                board: 7,
-                score: 0.25,
-            },
-            TelemetryEvent::TenantAdmitted {
-                t_ns: 1,
-                tenant: 3,
-                bench: "swaptions",
-                threads: 4,
-                target_min: 6.5,
-                queue_wait_ns: 250,
-            },
-            TelemetryEvent::TenantDeparted {
-                t_ns: 1,
-                tenant: 3,
-                heartbeats: 60,
-            },
-            TelemetryEvent::HeartbeatRate {
-                t_ns: 1,
-                tenant: 3,
-                rate_hz: 7.25,
-                satisfied: true,
-            },
-            TelemetryEvent::FaultInjected {
-                t_ns: 1,
-                fault: "cluster_cap",
-                cluster: 1,
-                until_ns: 2_000_000_000,
-            },
-            TelemetryEvent::ClusterQuarantined {
-                t_ns: 1,
-                cluster: 1,
-                mode: "cap",
-                until_ns: 2_000_000_000,
-            },
-            TelemetryEvent::ClusterRestored {
-                t_ns: 1,
-                cluster: 1,
-            },
-            TelemetryEvent::BoardFailed {
-                t_ns: 1,
-                tenants_in_flight: 3,
-            },
-            TelemetryEvent::DegradedCalibration {
-                t_ns: 1,
-                tenant: 3,
-                bench: "swaptions",
-                age_ns: 500_000_000,
-            },
-            TelemetryEvent::TenantFailedOver {
-                t_ns: 1,
-                tenant: 3,
-                from_board: 0,
-                to_board: 2,
-                attempt: 1,
-            },
-        ];
-        assert_eq!(events.len(), SCHEMA.len(), "every variant has a schema row");
-        for (ev, (kind, fields)) in events.iter().zip(SCHEMA) {
-            assert_eq!(ev.kind(), *kind);
-            let json = ev.to_json();
-            assert!(
-                json.starts_with(&format!("{{\"event\":\"{kind}\"")),
-                "{json}"
-            );
-            assert!(json.ends_with('}'), "{json}");
-            for f in *fields {
-                assert!(
-                    json.contains(&format!("\"{f}\":")),
-                    "{kind} json missing field {f}: {json}"
-                );
-            }
-            assert_eq!(ev.t_ns(), if *kind == "initial_state" { 0 } else { 1 });
-        }
-    }
 
     #[test]
     fn tenant_accessor_covers_tenant_scoped_events() {

@@ -476,16 +476,6 @@ impl MetricsEngine {
         self.rollup.events
     }
 
-    /// Counts an event of `kind` without further folding — the path
-    /// for replayed lines whose payload the parser does not
-    /// reconstruct (e.g. `initial_state`). Live observation of the
-    /// same event takes the identical path, so live and replayed
-    /// summaries agree.
-    pub fn observe_kind(&mut self, kind: &str) {
-        self.rollup.events += 1;
-        *self.rollup.by_kind.entry(kind.to_string()).or_insert(0) += 1;
-    }
-
     fn tenant(&mut self, tenant: u64, t_ns: u64) -> &mut TenantTimeline {
         self.tenants
             .entry(tenant)
@@ -509,7 +499,12 @@ impl MetricsEngine {
         ) {
             return;
         }
-        self.observe_kind(ev.kind());
+        self.rollup.events += 1;
+        *self
+            .rollup
+            .by_kind
+            .entry(ev.kind().to_string())
+            .or_insert(0) += 1;
         match ev {
             TelemetryEvent::AdmissionVerdict {
                 t_ns,
@@ -641,13 +636,12 @@ impl MetricsEngine {
             TelemetryEvent::TenantFailedOver { .. } => {
                 self.rollup.tenants_failed_over += 1;
             }
-            // Counter-only kinds: already counted by observe_kind.
-            // (CacheHit/CacheMiss returned early above.)
+            // Counter-only kinds, counted above. (CacheHit/CacheMiss
+            // returned before counting.)
             TelemetryEvent::ConfigApplied { .. }
             | TelemetryEvent::ConfigRejected { .. }
             | TelemetryEvent::AdmissionSwapped { .. }
             | TelemetryEvent::GuardChanged { .. }
-            | TelemetryEvent::InitialState { .. }
             | TelemetryEvent::ClusterRestored { .. }
             | TelemetryEvent::CacheHit { .. }
             | TelemetryEvent::CacheMiss { .. } => {}

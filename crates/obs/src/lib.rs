@@ -20,9 +20,11 @@
 //! The mergeable core ([`MetricsRollup`]) is all-integer, so fleet
 //! reduction over shards is commutative and associative bit for bit
 //! (`tests/merge_laws.rs` proptests the laws). The replay half
-//! ([`parse`]) parses captured `telemetry.jsonl` strictly against the
-//! pinned schema and feeds the same engine — a replayed summary is
-//! byte-identical to the live one, which CI asserts.
+//! ([`replay_capture`]) parses captured `telemetry.jsonl` strictly
+//! against the pinned schema (with [`parse_capture`], which lives next
+//! to the encoder in [`hars_core::telemetry`]) and feeds the same
+//! engine — a replayed summary is byte-identical to the live one,
+//! which CI asserts.
 //!
 //! Mirrors the PAPI-style runtime-monitoring surface of Fanni et al.
 //! and the reflective sensing loop of MARS (Mück et al.): metrics as
@@ -33,41 +35,28 @@
 
 mod engine;
 pub mod hist;
-pub mod parse;
 mod sink;
 
 pub use engine::{
     ClusterPowerSeries, MetricsConfig, MetricsEngine, MetricsRollup, MetricsSummary, SloClass,
     TenantTimeline,
 };
+pub use hars_core::telemetry::{parse_capture, parse_line, Interner, ParseError};
 pub use hist::Log2Histogram;
-pub use parse::{parse_capture, parse_line, Interner, ParseError, ParsedLine};
 pub use sink::MetricsSink;
 
 use hars_core::TelemetryEvent;
 
-/// Replays parsed capture lines through a fresh engine — the exact
-/// fold a live [`MetricsSink`] performs, so the returned summary is
-/// byte-identical to the live run's.
-pub fn replay(cfg: MetricsConfig, lines: &[ParsedLine]) -> MetricsSummary {
-    let mut engine = MetricsEngine::new(cfg);
-    for line in lines {
-        match line {
-            ParsedLine::Event(ev) => engine.observe(ev),
-            ParsedLine::KindOnly(kind) => engine.observe_kind(kind),
-        }
-    }
-    engine.finish()
-}
-
-/// Convenience: parse a capture's text and replay it at the default
-/// config.
+/// Parses a capture's text and replays it at the default config — the
+/// exact fold a live [`MetricsSink`] performs, so the returned summary
+/// is byte-identical to the live run's.
 pub fn replay_capture(text: &str) -> Result<MetricsSummary, ParseError> {
-    Ok(replay(MetricsConfig::default(), &parse_capture(text)?))
+    Ok(summarize(MetricsConfig::default(), &parse_capture(text)?))
 }
 
 /// Folds an in-memory event slice (e.g. a
-/// [`VecSink`](hars_core::VecSink) capture) into a summary.
+/// [`VecSink`](hars_core::VecSink) capture or a parsed capture) into a
+/// summary.
 pub fn summarize(cfg: MetricsConfig, events: &[TelemetryEvent]) -> MetricsSummary {
     let mut engine = MetricsEngine::new(cfg);
     for ev in events {
