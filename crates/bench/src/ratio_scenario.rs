@@ -150,10 +150,11 @@ pub fn run_mode(
                 .expect("valid decision");
         }
     }
+    let core = manager.core();
     ScenarioOutcome {
-        mid_estimate: manager.assumed_ratio_of(ClusterId(1)),
-        prediction_error: manager.recent_prediction_error(),
-        informative_error: manager.recent_informative_prediction_error(),
-        adaptations: manager.adaptations(),
+        mid_estimate: core.assumed_ratio_of(ClusterId(1)),
+        prediction_error: core.recent_prediction_error(),
+        informative_error: core.recent_informative_prediction_error(),
+        adaptations: core.adaptations(),
     }
 }

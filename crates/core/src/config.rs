@@ -35,8 +35,7 @@ use crate::ratio_learn::RatioLearning;
 /// mostly cache hits, while each walk node still pays its enumeration
 /// bookkeeping. The config *default* stays at the paper's modeled
 /// `3_000 ns` — the bit-identity goldens pin the historical overhead
-/// model — so calibrated costs are opt-in via
-/// [`RuntimeConfig::with_calibrated_costs`] or a [`ConfigDelta`].
+/// model — so calibrated costs are opt-in via a [`ConfigDelta`].
 pub const CALIBRATED_COST_PER_STATE_NS: u64 = 50;
 
 /// Calibrated per-enumeration-node walk cost (ns), from the same
@@ -96,15 +95,6 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// This snapshot with the measured (rather than the paper-modeled)
-    /// search-cost coefficients — see [`CALIBRATED_COST_PER_STATE_NS`].
-    #[must_use]
-    pub fn with_calibrated_costs(mut self) -> Self {
-        self.cost_per_state_ns = CALIBRATED_COST_PER_STATE_NS;
-        self.cost_per_node_ns = CALIBRATED_COST_PER_NODE_NS;
-        self
-    }
-
     /// Validates `delta` against this snapshot and returns the updated
     /// snapshot. Pure: `self` is never mutated, and an `Err` means no
     /// observable change anywhere — the all-or-nothing contract
@@ -526,11 +516,7 @@ mod tests {
     }
 
     #[test]
-    fn calibrated_costs_are_opt_in() {
-        let cfg = snapshot().with_calibrated_costs();
-        assert_eq!(cfg.cost_per_state_ns, CALIBRATED_COST_PER_STATE_NS);
-        assert_eq!(cfg.cost_per_node_ns, CALIBRATED_COST_PER_NODE_NS);
-        // The defaults the goldens pin are untouched.
+    fn default_costs_match_goldens() {
         assert_eq!(snapshot().cost_per_state_ns, 3_000);
         assert_eq!(snapshot().cost_per_node_ns, 0);
     }

@@ -186,9 +186,10 @@ pub(crate) fn summarize(
         .map(|r| r.heartbeats_per_sec())
         .unwrap_or(0.0);
     let target = manager.target();
+    let core = manager.core();
     let norm_perf = normalized_performance(target, avg_rate);
     let pp = perf_per_watt(target, avg_rate, avg_watts);
-    let busy = manager.busy_ns();
+    let busy = core.busy_ns();
     let cpu_percent = if engine.now_ns() > 0 {
         100.0 * busy as f64 / engine.now_ns() as f64
     } else {
@@ -203,12 +204,12 @@ pub(crate) fn summarize(
         perf_per_watt: pp,
         manager_busy_ns: busy,
         manager_cpu_percent: cpu_percent,
-        adaptations: manager.adaptations(),
-        search_stats: manager.search_stats(),
+        adaptations: core.adaptations(),
+        search_stats: core.search_stats(),
         assumed_ratios: (0..engine.board().n_clusters())
-            .map(|c| manager.assumed_ratio_of(hmp_sim::ClusterId(c)))
+            .map(|c| core.assumed_ratio_of(hmp_sim::ClusterId(c)))
             .collect(),
-        prediction_error: manager.recent_prediction_error(),
+        prediction_error: core.recent_prediction_error(),
         trace,
     }
 }

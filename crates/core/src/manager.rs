@@ -1,4 +1,5 @@
-//! The HARS runtime manager — Algorithm 1 (`HARSMain`).
+//! The HARS runtime manager — Algorithm 1 (`HARSMain`) — and the
+//! decision core it shares with the multi-app manager.
 //!
 //! The manager consumes the application's heartbeat stream. At every
 //! adaptation period it compares the windowed heartbeat rate against the
@@ -6,6 +7,12 @@
 //! a [`Decision`] — the new system state plus the per-thread affinity
 //! plan — which the driver applies to the platform after the decision's
 //! modeled CPU cost.
+//!
+//! [`DecisionCore`] is the part of that loop MP-HARS reuses for every
+//! application (Algorithm 3 line 20 calls "the HARS search"): the
+//! hot-reloadable config snapshot, the estimators and ratio learner,
+//! the strategy hook, and the one search step with its overhead model
+//! and accounting.
 
 use heartbeats::PerfTarget;
 use hmp_sim::{BoardSpec, CpuSet};
@@ -22,7 +29,7 @@ use crate::predictor::Predictor;
 use crate::ratio_learn::{PendingPrediction, RatioLearner, RatioLearning};
 use crate::sched::{default_core_allocation, plan_affinities, SchedulerKind};
 use crate::search::{
-    ExplorationBonus, SearchConstraints, SearchContext, SearchOutcome, SearchStats, SearchStrategy,
+    ExplorationBonus, SearchConstraints, SearchContext, SearchStats, SearchStrategy,
     SearchStrategyFactory,
 };
 use crate::state::{StateSpace, SystemState};
@@ -106,20 +113,6 @@ impl HarsConfig {
         }
     }
 
-    /// This config with the measured search-cost coefficients
-    /// ([`crate::config::CALIBRATED_COST_PER_STATE_NS`] /
-    /// [`crate::config::CALIBRATED_COST_PER_NODE_NS`], fit by the
-    /// `decision_perf` bench) instead of the paper's modeled
-    /// `3000 ns / 0 ns`. Opt-in: [`HarsConfig::default`] keeps the
-    /// modeled costs so the `ci/golden_quick.sha256` bit-identity
-    /// goldens — which pin the historical overhead model — stay valid.
-    #[must_use]
-    pub fn calibrated(mut self) -> Self {
-        self.cost_per_state_ns = crate::config::CALIBRATED_COST_PER_STATE_NS;
-        self.cost_per_node_ns = crate::config::CALIBRATED_COST_PER_NODE_NS;
-        self
-    }
-
     /// The hot-reloadable half of this config — the manager's version-0
     /// [`RuntimeConfig`] snapshot. The rest (scheduler, adaptation
     /// period, initial state, predictor) is construction-time identity
@@ -151,17 +144,35 @@ pub struct Decision {
     pub stats: SearchStats,
 }
 
-/// Algorithm 1's per-application runtime manager.
+/// A search that moved the state, as returned by
+/// [`DecisionCore::search`].
 #[derive(Debug, Clone)]
-pub struct RuntimeManager {
-    /// Construction-time identity: the thread scheduler.
+pub struct Adaptation {
+    /// The state the search chose.
+    pub state: SystemState,
+    /// The search's cost, with the modeled decision time stamped as
+    /// `wall_ns` — the decision's apply latency.
+    pub stats: SearchStats,
+    /// The rate prediction to check at the first adaptation period
+    /// after the change; `None` with ratio learning off.
+    pub prediction: Option<PendingPrediction>,
+}
+
+/// The decision machinery both runtime managers share: the
+/// construction-time identity (scheduler, adaptation period,
+/// per-heartbeat cost), the hot-reloadable [`RuntimeConfig`] snapshot
+/// and its version, the strategy hook, the board's state space and
+/// estimators with their ratio learner, and the run's accounting.
+///
+/// A manager owns one and hands callers a read-only view through its
+/// `core()` accessor; deltas and strategy hooks go through the
+/// manager, which reconciles its own state around them.
+#[derive(Debug, Clone)]
+pub struct DecisionCore {
     scheduler: SchedulerKind,
-    /// Construction-time identity: the adaptation period (heartbeats).
     adapt_every: u64,
-    /// Construction-time identity: fixed cost per heartbeat (ns).
     cost_per_heartbeat_ns: u64,
-    /// The hot-reloadable config snapshot (see
-    /// [`RuntimeManager::apply_config`]).
+    /// The hot-reloadable config snapshot.
     runtime: RuntimeConfig,
     /// The snapshot's version: 0 at construction, +1 per accepted delta.
     version: ConfigVersion,
@@ -170,27 +181,268 @@ pub struct RuntimeManager {
     strategy_factory: Option<Arc<dyn SearchStrategyFactory>>,
     board: BoardSpec,
     space: StateSpace,
-    target: PerfTarget,
     perf: PerfEstimator,
     power: PowerEstimator,
-    threads: usize,
-    state: SystemState,
+    /// The per-cluster online ratio learner.
+    learner: RatioLearner,
     busy_ns: u64,
     adaptations: u64,
     searches: u64,
     /// Cumulative search cost over the run.
     search_stats: SearchStats,
+}
+
+impl DecisionCore {
+    /// A core for `board` starting from the version-0 snapshot
+    /// `runtime`.
+    pub fn new(
+        board: &BoardSpec,
+        perf: PerfEstimator,
+        power: PowerEstimator,
+        scheduler: SchedulerKind,
+        adapt_every: u64,
+        cost_per_heartbeat_ns: u64,
+        runtime: RuntimeConfig,
+    ) -> Self {
+        Self {
+            scheduler,
+            adapt_every,
+            cost_per_heartbeat_ns,
+            learner: RatioLearner::new(runtime.ratio_learning, &perf),
+            runtime,
+            version: ConfigVersion::default(),
+            strategy_factory: None,
+            board: board.clone(),
+            space: StateSpace::from_board(board),
+            perf,
+            power,
+            busy_ns: 0,
+            adaptations: 0,
+            searches: 0,
+            search_stats: SearchStats::default(),
+        }
+    }
+
+    /// Charges one heartbeat observation and reports whether
+    /// `hb_index` is an adaptation period (`isAdaptPeriod`): every
+    /// `adapt_every`-th heartbeat, skipping index 0 (no rate window
+    /// exists yet).
+    pub fn heartbeat(&mut self, hb_index: u64) -> bool {
+        self.busy_ns += self.cost_per_heartbeat_ns;
+        hb_index > 0 && hb_index.is_multiple_of(self.adapt_every)
+    }
+
+    /// Feeds the ratio learner the observed `rate` against the
+    /// prediction armed at the last state change, if any.
+    pub fn learn(&mut self, pending: Option<PendingPrediction>, rate: f64) {
+        if let Some(p) = pending {
+            self.learner.observe(&p, rate, &mut self.perf);
+        }
+    }
+
+    /// The search step (Algorithm 1 line 8, Algorithm 3 line 20): runs
+    /// the installed factory's strategy, or else the configured
+    /// policy's, from `current` at the observed `rate`, charges its
+    /// modeled time, and returns the new state — `None` when the
+    /// search kept `current`.
+    ///
+    /// The overhead model charges per estimator evaluation — cache
+    /// hits are free (for the sweep, evaluated == explored) — plus a
+    /// per-node micro-cost for the enumeration walk that produced the
+    /// candidates (default 0, keeping the historical model). The
+    /// charge is stamped on the stats as `wall_ns` once, and every
+    /// downstream consumer — `busy_ns`, the decision's apply latency,
+    /// run-level totals — reads it from there.
+    pub fn search(
+        &mut self,
+        current: &SystemState,
+        rate: f64,
+        threads: usize,
+        target: &PerfTarget,
+        constraints: &SearchConstraints,
+        tabu: &[SystemState],
+    ) -> Option<Adaptation> {
+        let overperforming = rate > target.avg();
+        let cost_per_state_ns = self.runtime.cost_per_state_ns;
+        let external;
+        let resolved;
+        let strategy: &dyn SearchStrategy = match &self.strategy_factory {
+            Some(f) => {
+                external = f.strategy_for(overperforming, cost_per_state_ns);
+                &*external
+            }
+            None => {
+                resolved = self
+                    .runtime
+                    .policy
+                    .strategy_for(overperforming, cost_per_state_ns);
+                &resolved
+            }
+        };
+        let ctx = SearchContext {
+            space: &self.space,
+            current,
+            observed_rate: rate,
+            threads,
+            target,
+            constraints,
+            perf: &self.perf,
+            power: &self.power,
+            tabu,
+            exploration: ExplorationBonus::from_learner(
+                self.runtime.exploration_bonus,
+                &self.learner,
+                self.space.cluster_ids(),
+            ),
+            eval_limit: None,
+        };
+        let mut outcome = strategy.next_state(&ctx);
+        self.searches += 1;
+        outcome.stats.wall_ns = outcome.stats.evaluated as u64 * cost_per_state_ns
+            + outcome.stats.nodes * self.runtime.cost_per_node_ns;
+        self.search_stats.merge(outcome.stats);
+        self.busy_ns += outcome.stats.wall_ns;
+        if outcome.state == *current {
+            return None;
+        }
+        self.adaptations += 1;
+        let prediction = (self.runtime.ratio_learning != RatioLearning::Off).then(|| {
+            let new_a = self.perf.assignment(threads, &outcome.state);
+            let old_a = self.perf.assignment(threads, current);
+            PendingPrediction::from_assignments(outcome.eval.est_rate, &old_a, &new_a)
+        });
+        Some(Adaptation {
+            state: outcome.state,
+            stats: outcome.stats,
+            prediction,
+        })
+    }
+
+    /// Counts a state change made without a search (a fault-reaction
+    /// evacuation).
+    pub fn count_adaptation(&mut self) {
+        self.adaptations += 1;
+    }
+
+    /// Validates `delta` against the current snapshot and, on
+    /// acceptance, swaps the snapshot and bumps the version. Returns
+    /// `true` when the ratio-learning mode changed: the learner was
+    /// rebuilt from the estimator's current ratios, and the manager
+    /// must drop every pending prediction armed under the old regime.
+    /// Manager-specific fields are ignored here; the manager gates them
+    /// before calling.
+    ///
+    /// # Errors
+    ///
+    /// Reason-coded — see [`RejectReason`]. A rejection changes
+    /// nothing.
+    pub fn apply_config(&mut self, delta: &ConfigDelta) -> Result<bool, RejectReason> {
+        let next = self.runtime.apply(delta)?;
+        let relearn = next.ratio_learning != self.runtime.ratio_learning;
+        if relearn {
+            self.learner = RatioLearner::new(next.ratio_learning, &self.perf);
+        }
+        self.runtime = next;
+        self.version = self.version.next();
+        Ok(relearn)
+    }
+
+    /// Installs (`Some`) or removes (`None`) the out-of-crate strategy
+    /// factory.
+    pub fn set_search_strategy_factory(&mut self, factory: Option<Arc<dyn SearchStrategyFactory>>) {
+        self.strategy_factory = factory;
+    }
+
+    /// The thread scheduler realizing decisions.
+    pub fn scheduler(&self) -> SchedulerKind {
+        self.scheduler
+    }
+
+    /// The board the core decides for.
+    pub fn board(&self) -> &BoardSpec {
+        &self.board
+    }
+
+    /// The board's state space.
+    pub fn space(&self) -> &StateSpace {
+        &self.space
+    }
+
+    /// The performance estimator, with any learned ratios.
+    pub fn perf(&self) -> &PerfEstimator {
+        &self.perf
+    }
+
+    /// The current hot-reloadable config snapshot.
+    pub fn runtime_config(&self) -> &RuntimeConfig {
+        &self.runtime
+    }
+
+    /// The current config version (0 until the first accepted delta).
+    pub fn config_version(&self) -> ConfigVersion {
+        self.version
+    }
+
+    /// Total modeled manager CPU time (ns).
+    pub fn busy_ns(&self) -> u64 {
+        self.busy_ns
+    }
+
+    /// Number of state changes made.
+    pub fn adaptations(&self) -> u64 {
+        self.adaptations
+    }
+
+    /// Number of searches run (including ones that kept the state).
+    pub fn searches(&self) -> u64 {
+        self.searches
+    }
+
+    /// Cumulative search cost over all searches run so far.
+    pub fn search_stats(&self) -> SearchStats {
+        self.search_stats
+    }
+
+    /// The assumed per-core ratio of `cluster` relative to the
+    /// reference cluster (changes only under
+    /// [`RatioLearning::PerCluster`], except for the fastest cluster,
+    /// which [`RatioLearning::FastOnly`] also refines).
+    pub fn assumed_ratio_of(&self, cluster: hmp_sim::ClusterId) -> f64 {
+        self.perf.ratio_of(cluster)
+    }
+
+    /// Mean `|ln(observed/predicted)|` over the recently consumed rate
+    /// predictions — the steady-state prediction-error diagnostic.
+    /// `None` with learning off (no predictions are armed) or before
+    /// the first consumption.
+    pub fn recent_prediction_error(&self) -> Option<f64> {
+        self.learner.mean_recent_error()
+    }
+
+    /// [`DecisionCore::recent_prediction_error`] restricted to
+    /// share-moving transitions — the ones whose predictions depend on
+    /// the assumed per-cluster ratios.
+    pub fn recent_informative_prediction_error(&self) -> Option<f64> {
+        self.learner.mean_recent_informative_error()
+    }
+}
+
+/// Algorithm 1's per-application runtime manager.
+#[derive(Debug, Clone)]
+pub struct RuntimeManager {
+    core: DecisionCore,
+    target: PerfTarget,
+    threads: usize,
+    state: SystemState,
     /// Ratio-learning bookkeeping: the rate predicted for the current
     /// state when it was chosen, plus the per-cluster thread shares of
     /// the new state and of the state it replaced. Consumed — or
     /// dropped — at the first adaptation period after the change.
     pending_prediction: Option<PendingPrediction>,
-    /// The per-cluster online ratio learner.
-    learner: RatioLearner,
     /// Workload predictor state.
     predictor: Predictor,
-    /// Recently visited states (newest last), bounded by
-    /// `runtime.tabu_len`.
+    /// Recently visited states (newest last), bounded by the
+    /// snapshot's `tabu_len`.
     tabu: VecDeque<SystemState>,
 }
 
@@ -210,52 +462,42 @@ impl RuntimeManager {
         cfg: HarsConfig,
     ) -> Self {
         assert!(threads > 0, "manager needs at least one thread");
-        let space = StateSpace::from_board(board);
-        let state = cfg.initial_state.unwrap_or_else(|| space.max_state());
-        assert!(
-            space.contains(&state),
-            "initial state {state} outside the board's space"
-        );
-        let predictor = cfg.predictor;
-        let learner = RatioLearner::new(cfg.ratio_learning, &perf);
-        Self {
-            scheduler: cfg.scheduler,
-            adapt_every: cfg.adapt_every,
-            cost_per_heartbeat_ns: cfg.cost_per_heartbeat_ns,
-            runtime: cfg.runtime(),
-            version: ConfigVersion::default(),
-            strategy_factory: None,
-            board: board.clone(),
-            space,
-            target,
+        let core = DecisionCore::new(
+            board,
             perf,
             power,
+            cfg.scheduler,
+            cfg.adapt_every,
+            cfg.cost_per_heartbeat_ns,
+            cfg.runtime(),
+        );
+        let state = cfg
+            .initial_state
+            .unwrap_or_else(|| core.space().max_state());
+        assert!(
+            core.space().contains(&state),
+            "initial state {state} outside the board's space"
+        );
+        Self {
+            core,
+            target,
             threads,
             state,
-            busy_ns: 0,
-            adaptations: 0,
-            searches: 0,
-            search_stats: SearchStats::default(),
             pending_prediction: None,
-            learner,
-            predictor,
+            predictor: cfg.predictor,
             tabu: VecDeque::new(),
         }
+    }
+
+    /// The shared decision core: config snapshot and version, learned
+    /// ratios, and the run's search accounting.
+    pub fn core(&self) -> &DecisionCore {
+        &self.core
     }
 
     /// The current system state the manager believes is applied.
     pub fn state(&self) -> SystemState {
         self.state
-    }
-
-    /// The current hot-reloadable config snapshot.
-    pub fn runtime_config(&self) -> &RuntimeConfig {
-        &self.runtime
-    }
-
-    /// The current config version (0 until the first accepted delta).
-    pub fn config_version(&self) -> ConfigVersion {
-        self.version
     }
 
     /// Applies a validated config delta to the *running* manager — the
@@ -285,33 +527,27 @@ impl RuntimeManager {
                 field: "park_overflow",
             });
         }
-        let next = self.runtime.apply(delta)?;
-        if next.ratio_learning != self.runtime.ratio_learning {
-            self.learner = RatioLearner::new(next.ratio_learning, &self.perf);
+        if self.core.apply_config(delta)? {
             self.pending_prediction = None;
         }
-        self.runtime = next;
-        while self.tabu.len() > self.runtime.tabu_len {
-            self.tabu.pop_front();
-        }
-        self.version = self.version.next();
-        Ok(self.version)
+        self.truncate_tabu();
+        Ok(self.core.config_version())
     }
 
     /// Installs an out-of-crate [`SearchStrategy`] source: every
     /// subsequent decision consults `factory` instead of resolving
-    /// `runtime_config().policy` through the shipped strategies. A
-    /// code-level hook (not part of the versioned config surface — the
-    /// version does not bump), so determinism is the factory's
+    /// `core().runtime_config().policy` through the shipped strategies.
+    /// A code-level hook (not part of the versioned config surface —
+    /// the version does not bump), so determinism is the factory's
     /// responsibility.
     pub fn set_search_strategy_factory(&mut self, factory: Arc<dyn SearchStrategyFactory>) {
-        self.strategy_factory = Some(factory);
+        self.core.set_search_strategy_factory(Some(factory));
     }
 
     /// Removes the strategy factory, returning decisions to the
     /// configured [`SearchPolicy`].
     pub fn clear_search_strategy_factory(&mut self) {
-        self.strategy_factory = None;
+        self.core.set_search_strategy_factory(None);
     }
 
     /// The target band.
@@ -333,72 +569,20 @@ impl RuntimeManager {
         self.pending_prediction = None;
     }
 
-    /// Total modeled manager CPU time (ns).
-    pub fn busy_ns(&self) -> u64 {
-        self.busy_ns
-    }
-
-    /// Number of state changes made.
-    pub fn adaptations(&self) -> u64 {
-        self.adaptations
-    }
-
-    /// Number of searches run (including ones that kept the state).
-    pub fn searches(&self) -> u64 {
-        self.searches
-    }
-
-    /// Cumulative search cost over all searches run so far.
-    pub fn search_stats(&self) -> SearchStats {
-        self.search_stats
-    }
-
-    /// The assumed ratio of the *fastest* cluster (the paper's `r₀`;
-    /// the big/little ratio on two-cluster boards). Changes only under
-    /// ratio learning; see [`RuntimeManager::assumed_ratio_of`] for the
-    /// other clusters.
-    pub fn assumed_ratio(&self) -> f64 {
-        self.perf.r0()
-    }
-
-    /// The assumed per-core ratio of `cluster` relative to the
-    /// reference cluster (changes only under
-    /// [`RatioLearning::PerCluster`], except for the fastest cluster,
-    /// which [`RatioLearning::FastOnly`] also refines).
-    pub fn assumed_ratio_of(&self, cluster: hmp_sim::ClusterId) -> f64 {
-        self.perf.ratio_of(cluster)
-    }
-
-    /// Mean `|ln(observed/predicted)|` over the recently consumed rate
-    /// predictions — the steady-state prediction-error diagnostic.
-    /// `None` with learning off (no predictions are armed) or before
-    /// the first consumption.
-    pub fn recent_prediction_error(&self) -> Option<f64> {
-        self.learner.mean_recent_error()
-    }
-
-    /// [`RuntimeManager::recent_prediction_error`] restricted to
-    /// share-moving transitions — the ones whose predictions depend on
-    /// the assumed per-cluster ratios.
-    pub fn recent_informative_prediction_error(&self) -> Option<f64> {
-        self.learner.mean_recent_informative_error()
-    }
-
     /// The decision that applies the initial state — the driver calls
     /// this once before the run (`setSysStateAndScheduleThreads(state)`
     /// ahead of Algorithm 1's loop).
     pub fn initial_decision(&mut self) -> Decision {
-        self.decision_for(self.state, 0, SearchStats::default())
+        self.decision_for(self.state, SearchStats::default())
     }
 
     /// Algorithm 1, lines 5–9: one heartbeat observation.
     ///
     /// Returns a [`Decision`] when the system state must change. The
     /// manager's modeled CPU time accrues even when no change results;
-    /// read it via [`RuntimeManager::busy_ns`].
+    /// read it via [`DecisionCore::busy_ns`].
     pub fn on_heartbeat(&mut self, hb_index: u64, rate: Option<f64>) -> Option<Decision> {
-        self.busy_ns += self.cost_per_heartbeat_ns;
-        if !self.is_adapt_period(hb_index) {
+        if !self.core.heartbeat(hb_index) {
             return None;
         }
         // A pending prediction is only comparable against the *first*
@@ -407,115 +591,50 @@ impl RuntimeManager {
         // dropped rather than left to be matched against an observation
         // many periods (and workload phases) later.
         let pending = self.pending_prediction.take();
-        let rate = rate?;
         // Extension: the predictor (last-value by default) filters the
         // observation the manager acts on.
-        let rate = self.predictor.observe(rate);
-        if let Some(p) = &pending {
-            self.learner.observe(p, rate, &mut self.perf);
-        }
+        let rate = self.predictor.observe(rate?);
+        self.core.learn(pending, rate);
         // Line 7: |hb.rate − t.avg| > (t.max − t.min)/2.
         if !self.target.needs_adaptation(rate) {
             return None;
         }
-        let overperforming = rate > self.target.avg();
-        let constraints = SearchConstraints::unrestricted(&self.space);
-        let tabu: Vec<SystemState> = self.tabu.iter().copied().collect();
-        // Resolve the decision strategy: the installed factory wins,
-        // otherwise the configured policy maps onto a shipped strategy.
-        let external;
-        let resolved;
-        let strategy: &dyn SearchStrategy = match &self.strategy_factory {
-            Some(f) => {
-                external = f.strategy_for(overperforming, self.runtime.cost_per_state_ns);
-                &*external
-            }
-            None => {
-                resolved = self
-                    .runtime
-                    .policy
-                    .strategy_for(overperforming, self.runtime.cost_per_state_ns);
-                &resolved
-            }
-        };
-        let ctx = SearchContext {
-            space: &self.space,
-            current: &self.state,
-            observed_rate: rate,
-            threads: self.threads,
-            target: &self.target,
-            constraints: &constraints,
-            perf: &self.perf,
-            power: &self.power,
-            tabu: &tabu,
-            exploration: self.exploration(),
-            eval_limit: None,
-        };
-        let mut outcome: SearchOutcome = strategy.next_state(&ctx);
-        self.searches += 1;
-        // The overhead model charges per estimator evaluation — cache
-        // hits are free (for the sweep, evaluated == explored, so the
-        // modeled cost is unchanged from the pre-cache runtime) — plus
-        // a per-node micro-cost for the enumeration walk that produced
-        // the candidates (default 0, keeping the historical model).
-        // The charge is stamped on the stats as `wall_ns` once, and
-        // every downstream consumer — `busy_ns`, the decision's apply
-        // latency, run-level totals — reads it from there.
-        outcome.stats.wall_ns = outcome.stats.evaluated as u64 * self.runtime.cost_per_state_ns
-            + outcome.stats.nodes * self.runtime.cost_per_node_ns;
-        self.search_stats.merge(outcome.stats);
-        self.busy_ns += outcome.stats.wall_ns;
-        if outcome.state == self.state {
-            return None;
-        }
-        self.adaptations += 1;
-        if self.runtime.ratio_learning != RatioLearning::Off {
-            let new_a = self.perf.assignment(self.threads, &outcome.state);
-            let old_a = self.perf.assignment(self.threads, &self.state);
-            self.pending_prediction = Some(PendingPrediction::from_assignments(
-                outcome.eval.est_rate,
-                &old_a,
-                &new_a,
-            ));
-        }
-        if self.runtime.tabu_len > 0 {
-            self.tabu.push_back(self.state);
-            while self.tabu.len() > self.runtime.tabu_len {
-                self.tabu.pop_front();
-            }
-        }
+        let constraints = SearchConstraints::unrestricted(self.core.space());
+        let adaptation = self.core.search(
+            &self.state,
+            rate,
+            self.threads,
+            &self.target,
+            &constraints,
+            self.tabu.make_contiguous(),
+        )?;
+        self.pending_prediction = adaptation.prediction;
+        self.tabu.push_back(self.state);
+        self.truncate_tabu();
         self.predictor.on_state_change();
-        self.state = outcome.state;
-        Some(self.decision_for(outcome.state, outcome.stats.wall_ns, outcome.stats))
+        self.state = adaptation.state;
+        Some(self.decision_for(adaptation.state, adaptation.stats))
     }
 
-    /// The exploration bonus for the next search: active only when
-    /// configured and the per-cluster learner still has
-    /// evidence-starved clusters.
-    fn exploration(&self) -> ExplorationBonus {
-        ExplorationBonus::from_learner(
-            self.runtime.exploration_bonus,
-            &self.learner,
-            self.space.cluster_ids(),
-        )
-    }
-
-    /// `isAdaptPeriod(hb.index)`: every `adapt_every`-th heartbeat,
-    /// skipping index 0 (no rate window exists yet).
-    fn is_adapt_period(&self, hb_index: u64) -> bool {
-        hb_index > 0 && hb_index.is_multiple_of(self.adapt_every)
+    /// Drops the oldest tabu entries beyond the snapshot's `tabu_len`.
+    fn truncate_tabu(&mut self) {
+        let excess = self
+            .tabu
+            .len()
+            .saturating_sub(self.core.runtime_config().tabu_len);
+        self.tabu.drain(..excess);
     }
 
     /// Builds the decision realizing `state` with the configured
-    /// scheduler.
-    fn decision_for(&self, state: SystemState, overhead_ns: u64, stats: SearchStats) -> Decision {
-        let assignment = self.perf.assignment(self.threads, &state);
-        let cores = default_core_allocation(&self.board, &assignment);
-        let affinities = plan_affinities(self.scheduler, &assignment, &cores);
+    /// scheduler; it applies after the search's modeled `wall_ns`.
+    fn decision_for(&self, state: SystemState, stats: SearchStats) -> Decision {
+        let assignment = self.core.perf().assignment(self.threads, &state);
+        let cores = default_core_allocation(self.core.board(), &assignment);
+        let affinities = plan_affinities(self.core.scheduler(), &assignment, &cores);
         Decision {
             state,
             affinities,
-            overhead_ns,
+            overhead_ns: stats.wall_ns,
             stats,
         }
     }
@@ -528,29 +647,12 @@ mod tests {
     use hmp_sim::{FreqKhz, FreqLadder};
 
     /// The golden contract behind `ci/golden_quick.sha256`: the default
-    /// preset must keep the paper's modeled overhead costs — calibrated
-    /// coefficients are an explicit opt-in preset, never the default.
+    /// preset keeps the paper's modeled overhead costs.
     #[test]
-    fn calibrated_preset_is_opt_in_and_default_matches_goldens() {
+    fn default_costs_match_goldens() {
         let default = HarsConfig::default();
         assert_eq!(default.cost_per_state_ns, 3_000);
         assert_eq!(default.cost_per_node_ns, 0);
-        let cal = HarsConfig::default().calibrated();
-        assert_eq!(
-            cal.cost_per_state_ns,
-            crate::config::CALIBRATED_COST_PER_STATE_NS
-        );
-        assert_eq!(
-            cal.cost_per_node_ns,
-            crate::config::CALIBRATED_COST_PER_NODE_NS
-        );
-        // The preset and the hot-reload path agree: calibrating at
-        // construction is the same snapshot as calibrating mid-run.
-        assert_eq!(cal.runtime(), default.runtime().with_calibrated_costs());
-        // Everything else is untouched.
-        assert_eq!(cal.policy, default.policy);
-        assert_eq!(cal.adapt_every, default.adapt_every);
-        assert_eq!(cal.cost_per_heartbeat_ns, default.cost_per_heartbeat_ns);
     }
 
     fn power() -> PowerEstimator {
@@ -592,14 +694,14 @@ mod tests {
         let mut m = manager(HarsConfig::default());
         // Index 7 is not a multiple of adapt_every (10).
         assert!(m.on_heartbeat(7, Some(30.0)).is_none());
-        assert_eq!(m.searches(), 0);
+        assert_eq!(m.core().searches(), 0);
     }
 
     #[test]
     fn no_adaptation_inside_band() {
         let mut m = manager(HarsConfig::default());
         assert!(m.on_heartbeat(10, Some(10.0)).is_none());
-        assert_eq!(m.searches(), 0);
+        assert_eq!(m.core().searches(), 0);
     }
 
     #[test]
@@ -619,7 +721,7 @@ mod tests {
             before,
             d.state
         );
-        assert_eq!(m.adaptations(), 1);
+        assert_eq!(m.core().adaptations(), 1);
     }
 
     #[test]
@@ -635,15 +737,15 @@ mod tests {
         assert!(d.stats.explored > 1);
         assert_eq!(
             d.overhead_ns,
-            d.stats.evaluated as u64 * m.runtime_config().cost_per_state_ns,
+            d.stats.evaluated as u64 * m.core().runtime_config().cost_per_state_ns,
             "default cost_per_node_ns = 0 keeps the historical charge"
         );
         assert_eq!(
             d.stats.wall_ns, d.overhead_ns,
             "the decision latency is read from the stamped wall_ns"
         );
-        assert_eq!(m.search_stats().wall_ns, d.overhead_ns);
-        assert!(m.busy_ns() >= d.overhead_ns);
+        assert_eq!(m.core().search_stats().wall_ns, d.overhead_ns);
+        assert!(m.core().busy_ns() >= d.overhead_ns);
     }
 
     #[test]
@@ -656,10 +758,11 @@ mod tests {
         assert!(d.stats.nodes > 0, "the sweep must report its walk nodes");
         assert_eq!(
             d.overhead_ns,
-            d.stats.evaluated as u64 * m.runtime_config().cost_per_state_ns + d.stats.nodes * 10,
+            d.stats.evaluated as u64 * m.core().runtime_config().cost_per_state_ns
+                + d.stats.nodes * 10,
             "wall_ns must charge evaluations plus enumeration nodes"
         );
-        assert_eq!(m.search_stats().nodes, d.stats.nodes);
+        assert_eq!(m.core().search_stats().nodes, d.stats.nodes);
     }
 
     #[test]
@@ -699,7 +802,7 @@ mod tests {
         for _ in 0..30 {
             let predicted = m
                 .on_heartbeat(hb, Some(6.0))
-                .map(|d| (d.state, m.assumed_ratio()));
+                .map(|d| (d.state, m.core().assumed_ratio_of(hmp_sim::ClusterId::BIG)));
             let _ = predicted;
             hb += 1;
             // Observed rate always disappointing relative to predictions.
@@ -707,9 +810,9 @@ mod tests {
             hb += 1;
         }
         assert!(
-            m.assumed_ratio() <= 1.5,
+            m.core().assumed_ratio_of(hmp_sim::ClusterId::BIG) <= 1.5,
             "r0 {} should not grow when reality disappoints",
-            m.assumed_ratio()
+            m.core().assumed_ratio_of(hmp_sim::ClusterId::BIG)
         );
     }
 
@@ -732,7 +835,7 @@ mod tests {
         assert!(m.on_heartbeat(1, Some(30.0)).is_some(), "must adapt");
         let _ = m.on_heartbeat(2, Some(1.0));
         assert_ne!(
-            m.assumed_ratio(),
+            m.core().assumed_ratio_of(hmp_sim::ClusterId::BIG),
             1.5,
             "control: consuming the prediction must move r0"
         );
@@ -748,7 +851,7 @@ mod tests {
         m.set_target(PerfTarget::new(0.5, 1.5).unwrap());
         let _ = m.on_heartbeat(2, Some(1.0));
         assert_eq!(
-            m.assumed_ratio(),
+            m.core().assumed_ratio_of(hmp_sim::ClusterId::BIG),
             1.5,
             "the pre-retarget prediction must not be learned from"
         );
@@ -764,7 +867,7 @@ mod tests {
         assert!(m.on_heartbeat(2, None).is_none(), "no rate: no decision");
         let _ = m.on_heartbeat(3, Some(1.0));
         assert_eq!(
-            m.assumed_ratio(),
+            m.core().assumed_ratio_of(hmp_sim::ClusterId::BIG),
             1.5,
             "a prediction skipped at its first adaptation period is stale"
         );
@@ -778,9 +881,9 @@ mod tests {
         });
         let _ = m.on_heartbeat(1, Some(30.0));
         let _ = m.on_heartbeat(2, Some(5.0));
-        assert_eq!(m.recent_prediction_error(), None);
-        assert_eq!(m.assumed_ratio_of(hmp_sim::ClusterId::BIG), 1.5);
-        assert_eq!(m.assumed_ratio_of(hmp_sim::ClusterId::LITTLE), 1.0);
+        assert_eq!(m.core().recent_prediction_error(), None);
+        assert_eq!(m.core().assumed_ratio_of(hmp_sim::ClusterId::BIG), 1.5);
+        assert_eq!(m.core().assumed_ratio_of(hmp_sim::ClusterId::LITTLE), 1.0);
     }
 
     #[test]
@@ -789,7 +892,7 @@ mod tests {
         assert!(m.on_heartbeat(1, Some(30.0)).is_some());
         let _ = m.on_heartbeat(2, Some(5.0));
         assert!(
-            m.recent_prediction_error().is_some(),
+            m.core().recent_prediction_error().is_some(),
             "a consumed prediction must be reflected in the diagnostic"
         );
     }
@@ -804,7 +907,7 @@ mod tests {
         let d = m.on_heartbeat(20, Some(10.0));
         // Already at the max state, so the search may keep it — but the
         // manager must have *searched* (goal violation recognized).
-        assert!(m.searches() >= 1, "retarget must trigger a search");
+        assert!(m.core().searches() >= 1, "retarget must trigger a search");
         let _ = d;
     }
 
@@ -854,7 +957,7 @@ mod tests {
     fn apply_config_bumps_version_and_retunes_the_hot_path() {
         use crate::config::ConfigDelta;
         let mut m = manager(HarsConfig::default());
-        assert_eq!(m.config_version(), ConfigVersion(0));
+        assert_eq!(m.core().config_version(), ConfigVersion(0));
         let v = m
             .apply_config(
                 &ConfigDelta::none()
@@ -863,7 +966,7 @@ mod tests {
             )
             .expect("valid delta");
         assert_eq!(v, ConfigVersion(1));
-        assert_eq!(m.runtime_config().cost_per_state_ns, 10);
+        assert_eq!(m.core().runtime_config().cost_per_state_ns, 10);
         // The next decision runs under the new snapshot: incremental
         // shrink explores a distance-1 neighborhood at 10 ns/state.
         let d = m.on_heartbeat(10, Some(30.0)).expect("adapts");
@@ -892,8 +995,8 @@ mod tests {
                 field: "park_overflow"
             })
         );
-        assert_eq!(m.config_version(), ConfigVersion(0));
-        assert_eq!(m.runtime_config(), before.runtime_config());
+        assert_eq!(m.core().config_version(), ConfigVersion(0));
+        assert_eq!(m.core().runtime_config(), before.core().runtime_config());
         // Decisions after the rejections match the untouched clone's.
         let mut before = before;
         assert_eq!(
@@ -913,7 +1016,7 @@ mod tests {
             .expect("valid delta");
         let _ = m.on_heartbeat(2, Some(1.0));
         assert_eq!(
-            m.assumed_ratio(),
+            m.core().assumed_ratio_of(hmp_sim::ClusterId::BIG),
             1.5,
             "a prediction armed under the old learning regime must be dropped"
         );
@@ -938,7 +1041,7 @@ mod tests {
 
     #[test]
     fn strategy_factory_overrides_the_configured_policy() {
-        use crate::search::{BestTracker, EvalCache, SearchStrategyFactory};
+        use crate::search::{BestTracker, EvalCache, SearchOutcome, SearchStrategyFactory};
 
         /// A degenerate external strategy: never moves.
         #[derive(Debug)]
@@ -970,7 +1073,7 @@ mod tests {
         m.set_search_strategy_factory(Arc::new(StayPutFactory));
         // Grossly over-performing, but the external strategy holds.
         assert!(m.on_heartbeat(10, Some(30.0)).is_none());
-        assert_eq!(m.searches(), 1, "the external strategy did run");
+        assert_eq!(m.core().searches(), 1, "the external strategy did run");
         m.clear_search_strategy_factory();
         assert!(m.on_heartbeat(20, Some(30.0)).is_some(), "policy restored");
     }

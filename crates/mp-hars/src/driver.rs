@@ -243,7 +243,11 @@ fn summarize(
     let (busy, adaptations, search_stats) = match version {
         MpVersion::Baseline => (0, 0, SearchStats::default()),
         MpVersion::ConsI(m) => (m.busy_ns(), m.adaptations(), SearchStats::default()),
-        MpVersion::MpHars(m) => (m.busy_ns(), m.adaptations(), m.search_stats()),
+        MpVersion::MpHars(m) => (
+            m.core().busy_ns(),
+            m.core().adaptations(),
+            m.core().search_stats(),
+        ),
     };
     MpRunOutcome {
         apps: stats,

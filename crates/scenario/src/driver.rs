@@ -1118,7 +1118,7 @@ impl Sim<'_> {
                 self.sink.emit(&TelemetryEvent::Decision {
                     t_ns: time_ns,
                     app: app.0,
-                    config_version: m.config_version().0,
+                    config_version: m.core().config_version().0,
                     stats: d.stats,
                 });
                 apply_mp_decision(&mut self.engine, &d, time_ns + d.overhead_ns)?;
@@ -1334,8 +1334,8 @@ impl Sim<'_> {
         // Closing power report, whether or not anything reconfigured.
         self.emit_cluster_power(self.engine.now_ns());
         let horizon = self.horizon_ns;
-        let (adaptations, busy, stats) = match &self.manager {
-            Some(m) => (m.adaptations(), m.busy_ns(), m.search_stats()),
+        let (adaptations, busy, stats) = match self.manager.as_ref().map(|m| m.core()) {
+            Some(c) => (c.adaptations(), c.busy_ns(), c.search_stats()),
             None => (0, 0, SearchStats::default()),
         };
         let energy = self.engine.energy().total_joules();
@@ -1406,7 +1406,7 @@ impl Sim<'_> {
         out.config_version = self
             .manager
             .as_ref()
-            .map(|m| m.config_version().0)
+            .map(|m| m.core().config_version().0)
             .unwrap_or(0);
         out.reconfig_accepted = self.config_accepted;
         out.reconfig_rejected = self.config_rejected;

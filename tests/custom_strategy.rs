@@ -61,9 +61,9 @@ fn external_strategy_drives_the_single_app_manager() {
     // Grossly over-performing: the stock policy would shrink, the
     // external strategy holds the incumbent.
     assert!(m.on_heartbeat(10, Some(30.0)).is_none());
-    assert_eq!(m.searches(), 1, "the external strategy did run");
+    assert_eq!(m.core().searches(), 1, "the external strategy did run");
     assert!(
-        m.search_stats().evaluated >= 1,
+        m.core().search_stats().evaluated >= 1,
         "external evaluations flow into the manager's accounting"
     );
 
