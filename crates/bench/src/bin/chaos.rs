@@ -22,10 +22,9 @@
 //!    heartbeats requested) strictly beats no-failover's.
 //!
 //! ```sh
-//! cargo run --release -p hars-bench --bin chaos [-- --quick] [--out BENCH_chaos.json]
+//! cargo run --release -p hars-bench --bin chaos [-- --quick]
 //! ```
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use hars_core::NullSink;
@@ -121,9 +120,7 @@ fn chaos_model(spec: &FleetSpec) -> FleetFaultSpec {
 }
 
 struct Run {
-    label: &'static str,
     workers: usize,
-    wall_ms: f64,
     out: FleetOutcome,
 }
 
@@ -141,76 +138,12 @@ fn measure(spec: &FleetSpec, label: &'static str, workers: usize) -> Run {
         out.tenants_failed_over,
         out.failover_lost,
     );
-    Run {
-        label,
-        workers,
-        wall_ms,
-        out,
-    }
-}
-
-fn render_json(runs: &[Run], spec: &FleetSpec, faults: &FleetFaultSpec, quick: bool) -> String {
-    let failover = &runs.last().expect("runs exist").out;
-    let abandoned = &runs[1].out;
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"bench\": \"chaos\",");
-    let _ = writeln!(
-        s,
-        "  \"mode\": \"{}\",",
-        if quick { "quick" } else { "full" }
-    );
-    let _ = writeln!(s, "  \"boards\": {},", spec.boards.len());
-    let _ = writeln!(s, "  \"fault_seed\": {},", faults.seed);
-    let _ = writeln!(s, "  \"arrivals\": {},", failover.arrivals);
-    let _ = writeln!(s, "  \"faults_injected\": {},", failover.faults_injected);
-    let _ = writeln!(s, "  \"boards_failed\": {},", failover.boards_failed);
-    let _ = writeln!(
-        s,
-        "  \"tenants_failed_over\": {},",
-        failover.tenants_failed_over
-    );
-    let _ = writeln!(s, "  \"failover_lost\": {},", failover.failover_lost);
-    let _ = writeln!(
-        s,
-        "  \"service_level\": {{ \"fault_free\": {:.4}, \"no_failover\": {:.4}, \
-         \"failover\": {:.4} }},",
-        runs[0].out.service_level, abandoned.service_level, failover.service_level
-    );
-    let _ = writeln!(
-        s,
-        "  \"failover_service_gain\": {:.4},",
-        failover.service_level - abandoned.service_level
-    );
-    let _ = writeln!(
-        s,
-        "  \"fingerprint_failover\": \"{:#018x}\",",
-        failover.fingerprint
-    );
-    let _ = writeln!(s, "  \"worker_counts_bit_identical\": true,");
-    let _ = writeln!(s, "  \"runs\": [");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{ \"label\": \"{}\", \"workers\": {}, \"wall_ms\": {:.0}, \
-             \"service_level\": {:.4}, \"completed\": {} }}{}",
-            r.label,
-            r.workers,
-            r.wall_ms,
-            r.out.service_level,
-            r.out.completed,
-            if i + 1 == runs.len() { "" } else { "," }
-        );
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = write!(s, "}}");
-    s
+    Run { workers, out }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let out_path = hars_bench::bench_out_path(&args, quick, "BENCH_chaos");
 
     let n_boards = if quick { 6 } else { 12 };
     let base = fleet(n_boards, quick);
@@ -237,7 +170,7 @@ fn main() {
     let mut supervised = base.clone();
     supervised.faults = Some(faults);
 
-    let runs = vec![
+    let runs = [
         measure(&fault_free, "fault-free", 8),
         measure(&abandoned, "faults, no failover", 8),
         measure(&supervised, "faults + failover", 1),
@@ -290,8 +223,5 @@ fn main() {
         supervised_out.service_level, runs[1].out.service_level, runs[0].out.service_level
     );
 
-    let json = render_json(&runs, &base, &faults, quick);
-    std::fs::write(&out_path, &json).expect("write chaos bench JSON");
-    println!("\nwrote {out_path}");
     println!("all chaos contracts hold");
 }

@@ -48,7 +48,7 @@ use hars_core::search::{
     count_enumeration_nodes, count_sweep_candidates, ExplorationBonus, SearchConstraints,
     SearchContext, SearchParams, SearchStrategy,
 };
-use hars_core::{PerfEstimator, StateSpace, SystemState};
+use hars_core::{PerfEstimator, PowerEstimator, StateSpace, SystemState};
 use heartbeats::PerfTarget;
 use hmp_sim::BoardSpec;
 
@@ -169,7 +169,7 @@ fn fit_costs(points: &[FitPoint]) -> (f64, f64) {
 fn measure_board(board: &BoardSpec, quick: bool) -> BoardReport {
     let space = StateSpace::from_board(board);
     let perf = PerfEstimator::from_board(board);
-    let power = hars_bench::synthetic_power(board);
+    let power = PowerEstimator::synthetic_for_board(board);
     let constraints = SearchConstraints::unrestricted(&space);
     let target = PerfTarget::new(9.0, 11.0).expect("valid band");
     let threads = board.n_cores().min(16);

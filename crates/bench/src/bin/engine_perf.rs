@@ -38,8 +38,9 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use hars_core::NullSink;
 use hars_scenario::{
-    run_scenario_cached, AlwaysAdmit, AppTemplate, ArrivalProcess, ScenarioOutcome,
+    run_scenario_with_sink, AlwaysAdmit, AppTemplate, ArrivalProcess, ScenarioOutcome,
     ScenarioRuntime, ScenarioSpec, SoloRateCache, TemplateSet,
 };
 use hmp_sim::clock::NS_PER_SEC;
@@ -105,7 +106,7 @@ fn run_once(
     board: &BoardSpec,
     case: &Case,
     mode: ExecMode,
-    cache: &mut SoloRateCache,
+    cache: &SoloRateCache,
 ) -> (ScenarioOutcome, f64) {
     let cfg = EngineConfig {
         exec: mode,
@@ -124,8 +125,16 @@ fn run_once(
         ScenarioRuntime::Gts
     };
     let t0 = Instant::now();
-    let out = run_scenario_cached(board, &cfg, &spec, &mut AlwaysAdmit, runtime, cache)
-        .expect("scenario runs");
+    let out = run_scenario_with_sink(
+        board,
+        &cfg,
+        &spec,
+        &mut AlwaysAdmit,
+        runtime,
+        cache,
+        &mut NullSink,
+    )
+    .expect("scenario runs");
     (out, t0.elapsed().as_secs_f64())
 }
 
@@ -138,11 +147,11 @@ struct Measured {
 /// the per-mode solo calibrations (its time is discarded), the timed
 /// repeats measure the scenario loop itself.
 fn measure(board: &BoardSpec, case: &Case, mode: ExecMode, reps: usize) -> Measured {
-    let mut cache = SoloRateCache::new();
-    let (outcome, _) = run_once(board, case, mode, &mut cache);
+    let cache = SoloRateCache::new();
+    let (outcome, _) = run_once(board, case, mode, &cache);
     let mut wall = f64::INFINITY;
     for _ in 0..reps {
-        let (again, secs) = run_once(board, case, mode, &mut cache);
+        let (again, secs) = run_once(board, case, mode, &cache);
         assert_eq!(
             again.fingerprint(),
             outcome.fingerprint(),

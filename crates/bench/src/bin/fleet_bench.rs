@@ -10,8 +10,8 @@
 //! `(board spec, benchmark, threads, budget)` calibration runs once
 //! fleet-wide. On a many-core host the worker pool adds thread-level
 //! speedup on top; on a single-core host (CI) the shared cache *is*
-//! the win, which is why the headline holds regardless of
-//! `available_cores` (reported in the JSON).
+//! the win, which is why the headline holds regardless of the host's
+//! core count.
 //!
 //! Self-asserted contracts:
 //!
@@ -24,10 +24,9 @@
 //!    gate on).
 //!
 //! ```sh
-//! cargo run --release -p hars-bench --bin fleet_bench [-- --quick] [--out BENCH_fleet.json]
+//! cargo run --release -p hars-bench --bin fleet_bench [-- --quick]
 //! ```
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use hars_core::NullSink;
@@ -130,7 +129,6 @@ fn fleet(n_boards: usize, quick: bool) -> FleetSpec {
 struct Run {
     label: &'static str,
     workers: usize,
-    cache: FleetCacheMode,
     wall_ms: f64,
     out: FleetOutcome,
 }
@@ -153,74 +151,14 @@ fn measure(spec: &FleetSpec, label: &'static str, workers: usize, cache: FleetCa
     Run {
         label,
         workers,
-        cache,
         wall_ms,
         out,
     }
 }
 
-fn render_json(runs: &[Run], spec: &FleetSpec, quick: bool, speedup: f64) -> String {
-    let headline = &runs.last().expect("runs exist").out;
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"bench\": \"fleet\",");
-    let _ = writeln!(
-        s,
-        "  \"mode\": \"{}\",",
-        if quick { "quick" } else { "full" }
-    );
-    let _ = writeln!(s, "  \"boards\": {},", spec.boards.len());
-    let _ = writeln!(s, "  \"unique_board_specs\": {},", board_classes().len());
-    let _ = writeln!(
-        s,
-        "  \"available_cores\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    let _ = writeln!(s, "  \"arrivals\": {},", headline.arrivals);
-    let _ = writeln!(s, "  \"admitted\": {},", headline.admitted);
-    let _ = writeln!(s, "  \"completed\": {},", headline.completed);
-    let _ = writeln!(s, "  \"fleet_rejected\": {},", headline.fleet_rejected);
-    let _ = writeln!(
-        s,
-        "  \"mean_satisfaction\": {:.4},",
-        headline.mean_satisfaction
-    );
-    let _ = writeln!(s, "  \"fingerprint\": \"{:#018x}\",", headline.fingerprint);
-    let _ = writeln!(s, "  \"fingerprints_identical\": true,");
-    let _ = writeln!(
-        s,
-        "  \"shared_cache\": {{ \"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4} }},",
-        headline.solo_cache_hits,
-        headline.solo_cache_misses,
-        headline.cache_hit_rate()
-    );
-    let _ = writeln!(s, "  \"speedup_fleet8_vs_naive\": {speedup:.2},");
-    let _ = writeln!(s, "  \"runs\": [");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{ \"label\": \"{}\", \"workers\": {}, \"cache\": \"{}\", \
-             \"wall_ms\": {:.0}, \"solo_misses\": {} }}{}",
-            r.label,
-            r.workers,
-            match r.cache {
-                FleetCacheMode::Shared => "shared",
-                FleetCacheMode::PerShard => "per-shard",
-            },
-            r.wall_ms,
-            r.out.solo_cache_misses,
-            if i + 1 == runs.len() { "" } else { "," }
-        );
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = write!(s, "}}");
-    s
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let out_path = hars_bench::bench_out_path(&args, quick, "BENCH_fleet");
 
     let n_boards = if quick { 48 } else { 256 };
     let spec = fleet(n_boards, quick);
@@ -234,7 +172,7 @@ fn main() {
 
     // The naive pre-fleet path first (it is the slowest), then the
     // fleet path at increasing worker counts. The 8-worker shared run
-    // last: its outcome is the headline the JSON reports.
+    // last: its outcome is the headline.
     let runs = vec![
         measure(&spec, "naive (per-shard)", 1, FleetCacheMode::PerShard),
         measure(&spec, "fleet shared", 1, FleetCacheMode::Shared),
@@ -281,8 +219,5 @@ fn main() {
         );
     }
 
-    let json = render_json(&runs, &spec, quick, speedup);
-    std::fs::write(&out_path, &json).expect("write fleet bench JSON");
-    println!("\nwrote {out_path}");
     println!("all fleet contracts hold");
 }

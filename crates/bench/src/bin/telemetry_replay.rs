@@ -75,7 +75,7 @@ fn run_live(seed: u64, capture_path: &str) -> Result<String, String> {
         &spec,
         &mut BoundedQueue::new(0.85, 6),
         ScenarioRuntime::mp_hars(&board, mp_hars::mp_hars_i()),
-        &mut SoloRateCache::new(),
+        &SoloRateCache::new(),
         &mut sink,
     )
     .map_err(|e| format!("scenario failed: {e:?}"))?;

@@ -104,30 +104,6 @@ pub fn seed_for(bench: Benchmark) -> u64 {
     0xB10B + Benchmark::ALL.iter().position(|b| *b == bench).unwrap() as u64
 }
 
-/// A synthetic but monotone linear power model for arbitrary boards
-/// (per-cluster α scaled by the nominal ratio, growing with the ladder
-/// level) — enough for ranking candidate states in decision-cost
-/// benches without a per-board calibration run. Shared by the
-/// `search_scaling` and `decision_perf` bins.
-pub fn synthetic_power(board: &BoardSpec) -> PowerEstimator {
-    PowerEstimator::from_clusters(
-        board
-            .cluster_ids()
-            .map(|c| {
-                let ladder = board.ladder(c).clone();
-                let ratio = board.perf_ratio(c);
-                let table: Vec<hars_core::power_est::LinearCoeff> = (0..ladder.len())
-                    .map(|i| hars_core::power_est::LinearCoeff {
-                        alpha: 0.12 * ratio + 0.03 * i as f64,
-                        beta: 0.08,
-                    })
-                    .collect();
-                (ladder, table)
-            })
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

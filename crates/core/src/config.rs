@@ -19,8 +19,6 @@
 //! replayed stream attributes every decision to the config that made
 //! it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::policy::SearchPolicy;
 use crate::ratio_learn::RatioLearning;
 
@@ -48,9 +46,7 @@ pub const CALIBRATED_COST_PER_NODE_NS: u64 = 120;
 /// A monotonically increasing configuration version. Version 0 is the
 /// construction-time snapshot; every accepted [`ConfigDelta`] bumps it
 /// by one. Telemetry stamps the version on each decision.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ConfigVersion(pub u64);
 
 impl ConfigVersion {
@@ -72,7 +68,7 @@ impl std::fmt::Display for ConfigVersion {
 /// their current snapshot, and [`RuntimeConfig::apply`] produces the
 /// next snapshot from a validated [`ConfigDelta`] without touching the
 /// old one.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeConfig {
     /// Search policy (including any anytime [`SearchPolicy::Budgeted`]
     /// wrapper — `budget_ns` retunes through [`ConfigDelta::budget`]).
@@ -170,7 +166,7 @@ fn validate_policy(p: &SearchPolicy) -> Result<(), RejectReason> {
 /// How a [`ConfigDelta`] changes the anytime decision budget,
 /// independent of whether the policy delta (if any) already carries a
 /// [`SearchPolicy::Budgeted`] wrapper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetChange {
     /// Set the budget to `ns` modeled nanoseconds per decision:
     /// retunes an existing budget wrapper in place, or wraps the
@@ -189,7 +185,7 @@ pub enum BudgetChange {
 /// with the `with_*` combinators; applied via the managers'
 /// `apply_config`, or carried as a timestamped
 /// `ScenarioEvent::Reconfigure` in the scenario layer.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConfigDelta {
     /// Replace the search policy.
     pub policy: Option<SearchPolicy>,
@@ -301,7 +297,7 @@ impl ConfigDelta {
 /// Why a [`ConfigDelta`] was rejected. Every variant carries a stable
 /// machine-readable [`RejectReason::code`] for telemetry; a rejected
 /// delta changes nothing (validation is all-or-nothing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// The delta sets no field at all.
     EmptyDelta,

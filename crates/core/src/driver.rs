@@ -10,7 +10,6 @@
 
 use heartbeats::AppId;
 use hmp_sim::{Action, ClusterId, Engine, FreqKhz, SimError};
-use serde::{Deserialize, Serialize};
 
 use crate::manager::{Decision, RuntimeManager};
 use crate::metrics::{normalized_performance, perf_per_watt};
@@ -18,7 +17,7 @@ use crate::search::SearchStats;
 
 /// One behavior-graph sample (Figures 5.5–5.7): the state HARS holds at
 /// a heartbeat plus the observed rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BehaviorSample {
     /// Heartbeat index.
     pub hb_index: u64,
@@ -64,7 +63,7 @@ impl BehaviorSample {
 }
 
 /// Aggregate results of one driven run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// Heartbeats emitted by the application.
     pub heartbeats: u64,

@@ -16,7 +16,6 @@
 
 use heartbeats::PerfTarget;
 use hmp_sim::{BoardSpec, CpuSet};
-use serde::{Deserialize, Serialize};
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -35,7 +34,7 @@ use crate::search::{
 use crate::state::{StateSpace, SystemState};
 
 /// Tunables of one runtime-manager instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HarsConfig {
     /// Search policy (incremental / exhaustive bounds).
     pub policy: SearchPolicy,
@@ -52,7 +51,6 @@ pub struct HarsConfig {
     /// historical overhead model charged evaluations only, and the
     /// bit-identity goldens pin that behaviour. Decision time is
     /// `evaluated × cost_per_state_ns + nodes × cost_per_node_ns`.
-    #[serde(default)]
     pub cost_per_node_ns: u64,
     /// Fixed CPU cost per heartbeat observation (ns).
     pub cost_per_heartbeat_ns: u64,

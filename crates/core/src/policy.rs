@@ -2,8 +2,6 @@
 //! paper, the scalable beam/frontier policies for many-cluster boards,
 //! and the knobs the sensitivity study sweeps.
 
-use serde::{Deserialize, Serialize};
-
 use crate::sched::SchedulerKind;
 use crate::search::{
     AnyStrategy, BeamSearch, BudgetedSearch, ExhaustiveSweep, GreedyFrontier, SearchParams,
@@ -12,7 +10,7 @@ use crate::search::{
 /// How the runtime manager searches for the next state each adaptation
 /// period. The policy is resolved per adaptation into a
 /// [`crate::search::SearchStrategy`] via [`SearchPolicy::strategy_for`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SearchPolicy {
     /// HARS-I: one incremental step, direction chosen by whether the app
     /// over- or under-performs (`m=1,n=0,d=1` / `m=0,n=1,d=1`).
@@ -139,7 +137,7 @@ impl SearchPolicy {
 
 /// A named HARS variant: policy + scheduler, as compared in Figures
 /// 5.1/5.2.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarsVariant {
     /// Display name ("HARS-I", "HARS-E", "HARS-EI").
     pub name: &'static str,

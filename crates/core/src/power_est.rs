@@ -12,14 +12,13 @@
 //! calibration data (see [`crate::calibrate`]).
 
 use hmp_sim::{ClusterId, FreqKhz, FreqLadder};
-use serde::{Deserialize, Serialize};
 
 use crate::assign::ThreadAssignment;
 use crate::perf_est::UnitTimes;
 use crate::state::SystemState;
 
 /// One `P = α·(C·U) + β` model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LinearCoeff {
     /// Watts per (used core × utilization).
     pub alpha: f64,
@@ -35,7 +34,7 @@ impl LinearCoeff {
 }
 
 /// The full per-cluster, per-frequency-level power model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerEstimator {
     /// Per-cluster DVFS ladders, indexed by cluster.
     ladders: Vec<FreqLadder>,

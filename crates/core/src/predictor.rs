@@ -7,10 +7,8 @@
 //! use). This module provides both: [`Predictor::LastValue`] and a
 //! scalar Kalman filter over the observed heartbeat rate.
 
-use serde::{Deserialize, Serialize};
-
 /// A scalar (1-D) Kalman filter tracking a noisy rate signal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Kalman1D {
     /// Current state estimate (hb/s).
     x: f64,
@@ -78,7 +76,7 @@ impl Kalman1D {
 }
 
 /// The workload predictor used by the runtime manager.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Predictor {
     /// The paper's default: the next period looks like the last one.
     #[default]

@@ -34,8 +34,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::assign::ThreadAssignment;
 use crate::linreg::fit_line;
 use crate::perf_est::PerfEstimator;
@@ -52,7 +50,7 @@ const MIN_RATIO: f64 = 0.05;
 const ERROR_WINDOW: usize = 32;
 
 /// Online refinement mode of the assumed per-cluster ratios.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RatioLearning {
     /// No refinement: ratios stay at their configured values.
     #[default]
@@ -68,7 +66,7 @@ pub enum RatioLearning {
 }
 
 /// Tunables of the per-cluster regression.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RatioLearnerConfig {
     /// Bound on each cluster's sliding window of `(Δs, e)` pairs.
     pub window: usize,
@@ -122,7 +120,7 @@ impl Default for RatioLearnerConfig {
 /// estimator predicted for the new state, plus the per-cluster thread
 /// shares of the new and the replaced state. Consumed (or dropped) at
 /// the *first* adaptation period after the change.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PendingPrediction {
     /// The estimated heartbeat rate of the chosen state.
     pub predicted_rate: f64,

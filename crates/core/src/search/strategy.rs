@@ -18,7 +18,6 @@ use std::collections::HashMap;
 
 use heartbeats::PerfTarget;
 use hmp_sim::MAX_CLUSTERS;
-use serde::{Deserialize, Serialize};
 
 use crate::perf_est::PerfEstimator;
 use crate::power_est::PowerEstimator;
@@ -34,7 +33,7 @@ use super::{CandidateEval, SearchConstraints, SearchOutcome};
 /// changed (a convergence diagnostic: a beam whose best never changes
 /// after ring 1 is over-provisioned), the modeled decision time, and
 /// whether an anytime budget cut the search short.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
     /// Candidate states considered, including the current state and
     /// cache hits.
@@ -47,9 +46,6 @@ pub struct SearchStats {
     /// `evaluated × cost_per_state_ns` by the managers — monotonic and
     /// deterministic, so overhead reporting reads it directly instead
     /// of re-deriving it from `evaluated` and a config knob.
-    /// (`serde(default)`: stats serialized before this field existed
-    /// deserialize with 0.)
-    #[serde(default)]
     pub wall_ns: u64,
     /// Enumeration nodes walked to *produce* the candidates — the
     /// distance-ball tree nodes (or sweep lattice points) visited,
@@ -57,9 +53,7 @@ pub struct SearchStats {
     /// the per-node micro-cost unit of the overhead model: `wall_ns`
     /// charges `evaluated × cost_per_state_ns + nodes ×
     /// cost_per_node_ns`, so enumeration work the evaluation cache
-    /// absorbs still costs decision time. (`serde(default)` for stats
-    /// serialized before this field existed.)
-    #[serde(default)]
+    /// absorbs still costs decision time.
     pub nodes: u64,
     /// `true` when an anytime budget ([`SearchPolicy::Budgeted`])
     /// stopped the search before it ran to completion and the outcome
@@ -67,7 +61,6 @@ pub struct SearchStats {
     /// total reports whether *any* decision was truncated.
     ///
     /// [`SearchPolicy::Budgeted`]: crate::policy::SearchPolicy::Budgeted
-    #[serde(default)]
     pub truncated: bool,
 }
 
@@ -102,7 +95,7 @@ impl SearchStats {
 /// With `weight == 0` (the default) every ranking key is multiplied by
 /// exactly `1.0`, so the search is bit-identical to the bonus-free
 /// implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExplorationBonus {
     weight: f64,
     needy: [bool; MAX_CLUSTERS],

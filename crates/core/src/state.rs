@@ -15,13 +15,12 @@
 //! not allocate.
 
 use hmp_sim::{BoardSpec, ClusterId, FreqKhz, FreqLadder, MAX_CLUSTERS};
-use serde::{Deserialize, Serialize};
 
 /// One configurable system state: per-cluster `(cores, frequency)`.
 ///
 /// Unused trailing slots are zeroed so derived equality and hashing see
 /// only the live clusters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SystemState {
     n: u8,
     cores: [u16; MAX_CLUSTERS],
@@ -253,7 +252,7 @@ impl StateIndex {
 
 /// The bounds of the explorable space for one board: per cluster, the
 /// maximum core count and the DVFS ladder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateSpace {
     max_cores: Vec<usize>,
     ladders: Vec<FreqLadder>,

@@ -21,9 +21,8 @@
 //! [`TelemetryEvent::to_json`] and the strict decoder behind
 //! [`parse_line`], so adding an event is adding a row.
 //!
-//! Serialization is hand-written: the workspace's offline serde shim
-//! has no-op derives, and a hand-rolled line format is also what keeps
-//! the schema hash ([`schema_text`]) honest — CI recomputes it and
+//! Serialization is hand-written: a hand-rolled line format is what
+//! keeps the schema hash ([`schema_text`]) honest — CI recomputes it and
 //! fails when the vocabulary drifts without the golden being updated.
 
 mod codec;

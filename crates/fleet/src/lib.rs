@@ -15,7 +15,7 @@
 //!   policy (rejected everywhere ⇒ fleet-rejected), and emits one
 //!   [`hars_core::TelemetryEvent::Placement`] per arrival;
 //! * [`FleetCacheMode::Shared`] — all shards calibrate through one
-//!   [`hars_scenario::SharedSoloRateCache`]: each unique
+//!   [`hars_scenario::SoloRateCache`]: each unique
 //!   `(board fingerprint, benchmark, threads, target budget)` solo
 //!   calibration runs once *fleet-wide* instead of once per board,
 //!   which is where the fleet-scale wall-clock win comes from;

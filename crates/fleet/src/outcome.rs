@@ -8,8 +8,6 @@
 //! the same shard set in any order yields the identical
 //! [`FleetOutcome`], fingerprint included.
 
-use serde::{Deserialize, Serialize};
-
 use hars_obs::MetricsRollup;
 use hars_scenario::ScenarioOutcome;
 
@@ -17,7 +15,7 @@ use crate::placement::Placement;
 use crate::spec::mix64;
 
 /// One shard's row in the fleet report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardSummary {
     /// Shard id (board index in the fleet spec).
     pub shard: usize,
@@ -42,10 +40,8 @@ pub struct ShardSummary {
     /// The shard's own [`ScenarioOutcome::fingerprint`].
     pub fingerprint: u64,
     /// Fault-plane injections this shard observed (0 without faults).
-    #[serde(default)]
     pub faults_injected: u64,
     /// The instant this shard's board died mid-run, if it did.
-    #[serde(default)]
     pub board_failed_at: Option<u64>,
 }
 
@@ -53,7 +49,7 @@ pub struct ShardSummary {
 /// driver bug, distinct from a *simulated* board failure, which yields
 /// a normal truncated outcome). Reported as a structured row instead
 /// of unwinding through the pool.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardFailure {
     /// Shard id (board index in the fleet spec).
     pub shard: usize,
@@ -64,7 +60,7 @@ pub struct ShardFailure {
 }
 
 /// The merged outcome of one fleet run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetOutcome {
     /// Global arrivals within the horizon.
     pub arrivals: usize,
@@ -109,33 +105,27 @@ pub struct FleetOutcome {
     /// ([`crate::run_fleet_with_metrics`]); every field of the rollup
     /// is integral, so the merged value is bit-identical for any
     /// worker count. Not part of [`Self::fingerprint`] (observe-only).
-    #[serde(default)]
     pub metrics: Option<MetricsRollup>,
     /// Fault-plane injections across all shards (0 when the fault
     /// plane is off). Reporting — not part of [`Self::fingerprint`]
     /// (the per-shard fingerprints already cover every behavioral
     /// consequence of a fault).
-    #[serde(default)]
     pub faults_injected: u64,
     /// Boards that died mid-run to a simulated
     /// [`hmp_sim::FaultKind::BoardFail`]. Not fingerprinted.
-    #[serde(default)]
     pub boards_failed: u64,
     /// Shards whose worker panicked and produced no outcome (see
     /// [`ShardFailure`]); their tenants are failed over like those of
     /// a dead board when failover is on. Not fingerprinted.
-    #[serde(default)]
     pub failed_shards: Vec<ShardFailure>,
     /// Successful tenant failovers: victims of a dead board re-placed
     /// onto a surviving board by the shard supervisor. A tenant
     /// retried more than once counts once per landing. Not
     /// fingerprinted.
-    #[serde(default)]
     pub tenants_failed_over: u64,
     /// Victims the supervisor gave up on: retry budget exhausted, no
     /// surviving board admitted them, or the retry arrival fell past
     /// the horizon. Not fingerprinted.
-    #[serde(default)]
     pub failover_lost: u64,
     /// Fleet service level in `[0, 1]`: satisfaction-weighted
     /// heartbeats served over heartbeats requested,
@@ -145,7 +135,6 @@ pub struct FleetOutcome {
     /// dead boards, lost tenants, rejections — making it the honest
     /// chaos-bench objective: failover raises it, faults lower it. Not
     /// fingerprinted.
-    #[serde(default)]
     pub service_level: f64,
 }
 

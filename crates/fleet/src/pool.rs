@@ -6,7 +6,7 @@
 //! ([`crate::shard_seed`]), its fault plan
 //! ([`crate::FleetSpec::fault_plan`]), its tenant slice (the placement
 //! tier's routing), its admission policy and runtime (rebuilt fresh
-//! from serializable descriptors) — is fixed *before* the shard runs,
+//! from plain descriptors) — is fixed *before* the shard runs,
 //! and the reduction ([`crate::FleetAccum`]) commutes. A fleet run is
 //! therefore bit-identical across worker counts and scheduling
 //! interleavings: `workers = 1` and `workers = 8` produce the same
@@ -49,8 +49,8 @@ use parking_lot::Mutex;
 
 use hars_core::{NullSink, TelemetryEvent, TelemetrySink};
 use hars_scenario::{
-    run_shard, run_shard_with_metrics, ScenarioOutcome, ShardConfig, SharedSoloRateCache,
-    SoloCacheHandle, SoloRateCache, TenantSpec,
+    run_shard, run_shard_with_metrics, ScenarioOutcome, ShardConfig, SoloCacheHandle,
+    SoloRateCache, TenantSpec,
 };
 use hmp_sim::{EngineConfig, FaultPlan, SimError};
 
@@ -167,7 +167,7 @@ fn run_fleet_inner(
     }
     let plans: Vec<FaultPlan> = (0..n).map(|s| spec.fault_plan(s)).collect();
 
-    let shared_cache = SharedSoloRateCache::new();
+    let shared_cache = SoloRateCache::new();
     let mut results: Vec<Option<ShardRun>> = (0..n).map(|_| None).collect();
 
     // Round zero: every shard.
@@ -371,7 +371,7 @@ fn run_round(
     round: &[usize],
     shard_scheds: &[Vec<(u64, TenantSpec)>],
     plans: &[FaultPlan],
-    shared_cache: &SharedSoloRateCache,
+    shared_cache: &SoloRateCache,
     workers: usize,
     with_metrics: bool,
     results: &mut [Option<ShardRun>],
@@ -435,7 +435,7 @@ fn run_one_shard(
     shard: usize,
     schedule: &[(u64, TenantSpec)],
     plan: &FaultPlan,
-    shared_cache: &SharedSoloRateCache,
+    shared_cache: &SoloRateCache,
     with_metrics: bool,
 ) -> Result<ScenarioOutcome, SimError> {
     let fb = &spec.boards[shard];
@@ -452,12 +452,12 @@ fn run_one_shard(
     };
     let mut admission = fb.build_admission();
     let runtime = fb.runtime.build(&fb.board);
-    let mut local_cache;
+    let local_cache;
     let cache = match spec.cache {
         FleetCacheMode::Shared => SoloCacheHandle::Shared(shared_cache),
         FleetCacheMode::PerShard => {
             local_cache = SoloRateCache::new();
-            SoloCacheHandle::Local(&mut local_cache)
+            SoloCacheHandle::Shared(&local_cache)
         }
     };
     if with_metrics {

@@ -81,7 +81,7 @@ fn faulted_scenario_with_control_events_round_trips() {
         &spec,
         &mut AlwaysAdmit,
         ScenarioRuntime::mp_hars(&board, mp_hars::mp_hars_i()),
-        &mut SoloRateCache::new(),
+        &SoloRateCache::new(),
         &mut sink,
     )
     .expect("scenario runs");

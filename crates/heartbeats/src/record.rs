@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::NANOS_PER_SEC;
 
 /// A single heartbeat: a monotonically increasing index paired with the
@@ -12,7 +10,7 @@ use crate::NANOS_PER_SEC;
 /// assert_eq!(hb.index(), 3);
 /// assert_eq!(hb.timestamp_ns(), 1_500_000_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HeartbeatRecord {
     index: u64,
     timestamp_ns: u64,
@@ -48,7 +46,7 @@ impl HeartbeatRecord {
 /// let rate = HeartbeatRate::from_span(10, 2_000_000_000).unwrap();
 /// assert!((rate.heartbeats_per_sec() - 5.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct HeartbeatRate(f64);
 
 impl HeartbeatRate {

@@ -1,17 +1,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{HeartbeatError, HeartbeatMonitor, PerfTarget};
 
 /// Identifier of a registered self-adaptive application.
 ///
 /// Newtype over `u64` so application ids cannot be confused with
 /// heartbeat indices or core ids.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AppId(pub u64);
 
 impl fmt::Display for AppId {

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::HeartbeatError;
 
 /// A user-specified performance target band `[min, max]` with center
@@ -18,7 +16,7 @@ use crate::HeartbeatError;
 /// assert!(t.is_overperforming(60.0));
 /// # Ok::<(), heartbeats::HeartbeatError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfTarget {
     min: f64,
     avg: f64,

@@ -3,16 +3,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of one CPU core on the board.
 ///
 /// Core numbering follows the Exynos 5422 convention the paper's code
 /// relies on (`i + bigStartIndex` in Algorithm 4): little cores come
 /// first (`0..n_little`), big cores after (`n_little..n_little+n_big`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CoreId(pub usize);
 
 impl fmt::Display for CoreId {
@@ -30,7 +26,7 @@ impl fmt::Display for CoreId {
 /// assert!(!set.contains(CoreId(1)));
 /// assert_eq!(set.len(), 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CpuSet(u64);
 
 impl CpuSet {

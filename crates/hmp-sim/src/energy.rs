@@ -4,15 +4,13 @@
 //! (within which the busy-core set and frequencies are constant), so the
 //! integral is exact, independent of sensor sampling.
 
-use serde::{Deserialize, Serialize};
-
 use crate::board::{BoardSpec, ClusterId, MAX_CLUSTERS};
 use crate::clock::ns_to_secs;
 use crate::freq::FreqKhz;
 use crate::power::cluster_power;
 
 /// Exact integrator of cluster energy over simulated time.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EnergyMeter {
     /// Joules consumed per cluster (indexed by cluster).
     joules: Vec<f64>,
@@ -189,7 +187,7 @@ impl EnergyMeter {
 }
 
 /// A point-in-time copy of an [`EnergyMeter`]'s totals.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergySnapshot {
     joules: f64,
     elapsed_secs: f64,

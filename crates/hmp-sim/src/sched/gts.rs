@@ -17,15 +17,13 @@
 //! little cores idle even when the big cluster is oversubscribed
 //! (Section 4.1.1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::board::{BoardSpec, ClusterId};
 use crate::cpuset::{CoreId, CpuSet};
 use crate::sched::{migrate_thread, CoreState, RunQueues};
 use crate::thread::ThreadState;
 
 /// GTS tuning parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GtsConfig {
     /// Scheduler tick period (load update + migration check), ns.
     pub tick_ns: u64,

@@ -4,8 +4,6 @@
 //! The `workloads` crate builds these specs for each PARSEC analog; the
 //! engine executes them.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SimError;
 
 /// How an application's speed depends on core type and frequency.
@@ -22,7 +20,7 @@ use crate::error::SimError;
 /// base frequency. HARS's estimator *assumes* `R(Big) = 1.5` and `φ = 0`;
 /// per-application deviations are the paper's model-error story
 /// (blackscholes has `big_little_ratio = 1.0`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedProfile {
     /// True per-core speed ratio big/little at equal frequency (`r` in
     /// the paper, measured: 1.0 for blackscholes, ~1.5-1.9 elsewhere).
@@ -73,7 +71,7 @@ impl Default for SpeedProfile {
 /// `sample(i)` yields the total work of unit `i`; finite schedules repeat
 /// cyclically so a workload's phase structure persists for arbitrarily
 /// long runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkSource {
     /// Every unit costs the same.
     Constant(f64),
@@ -116,7 +114,7 @@ impl WorkSource {
 }
 
 /// The parallel structure of an application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ParallelismModel {
     /// `T` worker threads split each unit of work equally and meet at a
     /// barrier; one heartbeat per completed unit. This is the structure
@@ -146,7 +144,7 @@ pub enum ParallelismModel {
 }
 
 /// A complete application description the engine can instantiate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppSpec {
     /// Display name (e.g. "blackscholes").
     pub name: String,

@@ -4,14 +4,12 @@
 //! Disabled by default (zero cost beyond a branch); enable with
 //! [`TraceLog::enabled`] or [`crate::Engine::enable_trace`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::board::ClusterId;
 use crate::cpuset::CoreId;
 use crate::freq::FreqKhz;
 
 /// One traced engine event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceEvent {
     /// A cluster's frequency changed.
     FreqChange {

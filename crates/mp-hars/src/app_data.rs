@@ -8,14 +8,13 @@
 
 use heartbeats::{AppId, PerfTarget};
 use hmp_sim::ClusterId;
-use serde::{Deserialize, Serialize};
 
 use hars_core::ratio_learn::PendingPrediction;
 use hars_core::SystemState;
 
 /// Classification of an app's performance against its target band —
 /// the rows of Table 4.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PerfClass {
     /// Below `t.min`.
     Underperf,
@@ -39,7 +38,7 @@ impl PerfClass {
 }
 
 /// Table 4.1: the runtime manager's per-application record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AppData {
     /// The application's id.
     pub app: AppId,

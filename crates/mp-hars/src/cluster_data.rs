@@ -3,10 +3,9 @@
 //! per cluster of the board, however many there are.
 
 use hmp_sim::{BoardSpec, ClusterId, CoreId, FreqKhz};
-use serde::{Deserialize, Serialize};
 
 /// Table 4.2: shared cluster-level state of the resource partitioner.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterData {
     /// Which cluster this record describes.
     pub cluster: ClusterId,

@@ -22,7 +22,6 @@
 
 use heartbeats::{AppId, PerfTarget};
 use hmp_sim::{BoardSpec, ClusterId, CpuSet, FreqKhz};
-use serde::{Deserialize, Serialize};
 
 use hars_core::{StateSpace, SystemState};
 
@@ -30,7 +29,7 @@ use crate::app_data::PerfClass;
 use crate::freeze::{combine_others, decide, FreezeDecision, StateDecision};
 
 /// CONS-I tunables.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConsConfig {
     /// Assumed big/little performance ratio `r₀` for the score.
     pub r0: f64,

@@ -3,7 +3,6 @@
 
 use heartbeats::AppId;
 use hmp_sim::{Action, ClusterId, CpuSet, Engine, SimError};
-use serde::{Deserialize, Serialize};
 
 use hars_core::driver::BehaviorSample;
 use hars_core::metrics::normalized_performance;
@@ -13,7 +12,7 @@ use crate::cons::{ConsDecision, ConsIManager};
 use crate::manager::{MpDecision, MpHarsManager};
 
 /// Per-application statistics of one multi-app run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AppRunStats {
     /// The application.
     pub app: AppId,
@@ -29,7 +28,7 @@ pub struct AppRunStats {
 }
 
 /// Aggregate outcome of a multi-application run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MpRunOutcome {
     /// Per-app statistics in registration order.
     pub apps: Vec<AppRunStats>,

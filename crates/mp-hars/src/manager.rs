@@ -14,7 +14,6 @@
 
 use heartbeats::{AppId, PerfTarget};
 use hmp_sim::{BoardSpec, ClusterId, CpuSet, FreqKhz};
-use serde::{Deserialize, Serialize};
 
 use std::sync::Arc;
 
@@ -31,7 +30,7 @@ use crate::freeze::combine_others;
 use crate::partition::{get_allocatable_core_set, AllocatedCores};
 
 /// MP-HARS tunables.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MpHarsConfig {
     /// Per-app search policy (MP-HARS-I: incremental; MP-HARS-E:
     /// exhaustive `m=4,n=4,d=7`).
@@ -50,7 +49,6 @@ pub struct MpHarsConfig {
     /// top of the per-evaluation cost for the ball-walk bookkeeping
     /// that generates candidates. Default 0 (the historical model; the
     /// bit-identity goldens pin it).
-    #[serde(default)]
     pub cost_per_node_ns: u64,
     /// Modeled CPU cost per heartbeat observation (ns).
     pub cost_per_heartbeat_ns: u64,

@@ -16,8 +16,6 @@
 //! deterministic function of the bucket counts, identical no matter
 //! how the counts were assembled.
 
-use serde::{Deserialize, Serialize};
-
 /// Values `0..LINEAR_CUTOFF` get their own exact bucket.
 const LINEAR_CUTOFF: u64 = 16;
 /// Sub-buckets per octave above the linear range (4 bits of mantissa).
@@ -29,7 +27,7 @@ pub const BUCKETS: usize = SUBS * GROUPS;
 
 /// A log2 histogram over `u64` values (typically nanoseconds or
 /// micro-units of a score), mergeable bit-stably in any order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Log2Histogram {
     /// Per-bucket observation counts.
     counts: Vec<u64>,

@@ -10,12 +10,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use hmp_sim::clock::NS_PER_SEC;
 
 /// How tenant arrivals are distributed over the scenario horizon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalProcess {
     /// Memoryless arrivals: exponential interarrival times with the
     /// given mean rate (arrivals per second of virtual time).

@@ -18,7 +18,6 @@ use heartbeats::{AppId, PerfTarget};
 use hmp_sim::{BoardSpec, ClusterId, Engine, EngineConfig, FaultKind, FaultPlan, SimError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use workloads::Benchmark;
 
 use hars_core::metrics::normalized_performance;
@@ -36,7 +35,7 @@ use crate::template::{TemplateSet, TenantSpec};
 
 /// A complete open-system scenario description: who arrives, when, for
 /// how long, under which seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// The arrival process.
     pub arrivals: ArrivalProcess,
@@ -68,12 +67,10 @@ pub struct ScenarioSpec {
     /// `at_ns` order (stable for ties) at the first runtime
     /// interaction at or after their instant, before any arrival
     /// sharing it; events at or beyond the horizon never fire.
-    #[serde(default)]
     pub events: Vec<TimedEvent>,
     /// The deterministic fault plan injected into the serving engine
     /// (never into calibration engines). Empty — the default — leaves
     /// the run bit-identical to a pre-fault-plane run.
-    #[serde(default)]
     pub faults: FaultPlan,
 }
 
@@ -152,13 +149,13 @@ pub enum ScenarioRuntime {
 
 impl ScenarioRuntime {
     /// MP-HARS with board-nominal estimators and the synthetic monotone
-    /// power model from [`synthetic_power_estimator`] — the zero-setup
-    /// configuration the churn bench uses.
+    /// power model from [`PowerEstimator::synthetic_for_board`] — the
+    /// zero-setup configuration the churn bench uses.
     pub fn mp_hars(board: &BoardSpec, cfg: MpHarsConfig) -> Self {
         ScenarioRuntime::MpHars {
             cfg,
             perf: PerfEstimator::from_board(board),
-            power: synthetic_power_estimator(board),
+            power: PowerEstimator::synthetic_for_board(board),
         }
     }
 
@@ -184,104 +181,30 @@ impl ScenarioRuntime {
     }
 }
 
-/// A monotone linear power model scaled by each cluster's nominal
-/// ratio — good enough to rank candidate states without a per-board
-/// calibration run ([`PowerEstimator::synthetic_for_board`]).
-pub fn synthetic_power_estimator(board: &BoardSpec) -> PowerEstimator {
-    PowerEstimator::synthetic_for_board(board)
-}
-
 /// A solo-rate calibration cache key:
 /// `(environment fingerprint, benchmark, threads, solo budget)`.
 type SoloKey = (u64, Benchmark, usize, u64);
 
-/// A cross-scenario solo-rate calibration cache.
+/// A `Sync` solo-rate calibration cache: one calibration per unique
+/// `(environment, benchmark, threads, budget)` key, shared by every
+/// scenario run that borrows it — sequential runs of a sweeping bench
+/// or concurrent shards on a fleet worker pool.
 ///
 /// Resolving a tenant's target requires its benchmark's *solo* rate —
-/// an isolated simulation at the maximum state — and the driver used
-/// to run one per `(benchmark, threads)` pair *per scenario*. The solo
-/// rate is a pure function of the calibration environment (board +
-/// engine config), the benchmark, its thread count and the heartbeat
-/// budget, so a bench sweeping many scenarios over the same board
-/// (`churn`: 3 arrival patterns × 4 runtimes × 2 boards, plus the
-/// admission table and a determinism re-run) can share one cache and
-/// pay for each calibration exactly once. Keys are
-/// `(environment fingerprint, benchmark, threads, solo budget)` where
-/// the environment fingerprint is an FNV-1a hash of the board's and
-/// the *canonicalized* engine config's full debug representations —
-/// any board or config difference changes the key, so sharing a cache
-/// across boards is safe. (Canonicalized: the engine noise seed is
-/// normalized away, because calibration always runs in the canonical
-/// reference environment — see [`calibration_config`].) Outcomes are
-/// bit-identical with or without a shared cache (the cached value *is*
-/// the value the isolated run would produce).
-///
-/// For sharing one cache across *concurrent* scenario shards — the
-/// fleet layer's regime — see [`SharedSoloRateCache`].
-#[derive(Debug, Default)]
-pub struct SoloRateCache {
-    map: HashMap<SoloKey, f64>,
-    hits: u64,
-    misses: u64,
-}
-
-impl SoloRateCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Calibration runs already cached.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Lookups served from the cache so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that paid for a calibration run so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// The FNV-1a fingerprint of one calibration environment.
-    fn environment_fingerprint(board: &BoardSpec, engine_cfg: &EngineConfig) -> u64 {
-        let mut h = crate::outcome::Fnv1a::new();
-        h.write_bytes(format!("{board:?}").as_bytes());
-        h.write_bytes(format!("{:?}", calibration_config(engine_cfg)).as_bytes());
-        h.finish()
-    }
-}
-
-/// The canonical calibration environment for `engine_cfg`: the same
-/// config with the engine noise seed normalized to the default.
-///
-/// A solo calibration is a *reference measurement* — the benchmark's
-/// isolated rate at the maximum state — and the heartbeat rate it
-/// resolves is independent of the sensor-noise stream (noise perturbs
-/// stored power samples, never the work schedule). Normalizing the
-/// seed makes that explicit in the cache key: fleet shards that differ
-/// only in their per-shard engine seed (the SplitMix64 seed-split)
-/// share one calibration per `(board, benchmark, threads, budget)`
-/// instead of recalibrating per shard, which is where the fleet-scale
-/// wall-clock win comes from.
-fn calibration_config(engine_cfg: &EngineConfig) -> EngineConfig {
-    EngineConfig {
-        seed: EngineConfig::default().seed,
-        ..engine_cfg.clone()
-    }
-}
-
-/// A `Sync`-shareable [`SoloRateCache`]: one calibration per unique
-/// `(environment, benchmark, threads, budget)` key *fleet-wide*, read
-/// concurrently by every scenario shard on the worker pool.
+/// an isolated simulation at the maximum state. The solo rate is a
+/// pure function of the calibration environment (board + engine
+/// config), the benchmark, its thread count and the heartbeat budget,
+/// so a bench sweeping many scenarios over the same board (`churn`: 3
+/// arrival patterns × 4 runtimes × 2 boards, plus the admission table
+/// and a determinism re-run) pays for each calibration exactly once.
+/// The environment part of the key is an FNV-1a hash of the board's
+/// and the *canonicalized* engine config's full debug representations
+/// — any board or config difference changes the key, so sharing a
+/// cache across boards is safe. (Canonicalized: the engine noise seed
+/// is normalized away, because calibration always runs in the
+/// canonical reference environment — see [`calibration_config`].)
+/// Outcomes are bit-identical whatever the cache holds: the cached
+/// value *is* the value the isolated run would produce.
 ///
 /// Misses are single-flight. Each key's slot is pending while its
 /// first claimant calibrates and holds the rate once filled; a lookup
@@ -294,14 +217,13 @@ fn calibration_config(engine_cfg: &EngineConfig) -> EngineConfig {
 /// runs shards under `catch_unwind`), unwinding clears the pending
 /// slot and wakes the waiters, and the next of them claims the key.
 ///
-/// Fleet-wide hit and miss totals are therefore deterministic, but
-/// *which* shard pays for a contended key depends on timing, so the
-/// per-shard counters are reporting, not fingerprinted (like
-/// `ScenarioOutcome::sensor_samples`, they never feed back into any
-/// decision). Values are deterministic either way: the calibration is
-/// a pure function of its key.
+/// Cache-wide hit and miss totals are therefore deterministic, but
+/// *which* concurrent shard pays for a contended key depends on
+/// timing, so the per-run counters are reporting, not fingerprinted
+/// (like `ScenarioOutcome::sensor_samples`, they never feed back into
+/// any decision).
 #[derive(Debug, Default)]
-pub struct SharedSoloRateCache {
+pub struct SoloRateCache {
     /// `None` while the key's first claimant is calibrating.
     slots: Mutex<HashMap<SoloKey, Option<f64>>>,
     /// Signalled whenever a pending slot is filled or released.
@@ -310,7 +232,10 @@ pub struct SharedSoloRateCache {
     misses: AtomicU64,
 }
 
-impl SharedSoloRateCache {
+/// Alias of [`SoloRateCache`], kept for callers that use this name.
+pub type SharedSoloRateCache = SoloRateCache;
+
+impl SoloRateCache {
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
@@ -335,16 +260,6 @@ impl SharedSoloRateCache {
     /// Lookups that paid for a calibration run so far.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Hits over total lookups, in `[0, 1]` (1.0 for an unused cache).
-    pub fn hit_rate(&self) -> f64 {
-        let (h, m) = (self.hits(), self.misses());
-        if h + m == 0 {
-            1.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
     }
 
     /// The slot map. No code panics while holding the lock, so a
@@ -389,12 +304,39 @@ impl SharedSoloRateCache {
     }
 }
 
-/// A claimed [`SharedSoloRateCache`] miss, held while its calibration
-/// runs. Dropping it before the slot is filled (a panicking
-/// calibration) releases the key, so a waiter takes over the claim.
+/// The FNV-1a fingerprint of one calibration environment.
+fn environment_fingerprint(board: &BoardSpec, engine_cfg: &EngineConfig) -> u64 {
+    let mut h = crate::outcome::Fnv1a::new();
+    h.write_bytes(format!("{board:?}").as_bytes());
+    h.write_bytes(format!("{:?}", calibration_config(engine_cfg)).as_bytes());
+    h.finish()
+}
+
+/// The canonical calibration environment for `engine_cfg`: the same
+/// config with the engine noise seed normalized to the default.
+///
+/// A solo calibration is a *reference measurement* — the benchmark's
+/// isolated rate at the maximum state — and the heartbeat rate it
+/// resolves is independent of the sensor-noise stream (noise perturbs
+/// stored power samples, never the work schedule). Normalizing the
+/// seed makes that explicit in the cache key: fleet shards that differ
+/// only in their per-shard engine seed (the SplitMix64 seed-split)
+/// share one calibration per `(board, benchmark, threads, budget)`
+/// instead of recalibrating per shard, which is where the fleet-scale
+/// wall-clock win comes from.
+fn calibration_config(engine_cfg: &EngineConfig) -> EngineConfig {
+    EngineConfig {
+        seed: EngineConfig::default().seed,
+        ..engine_cfg.clone()
+    }
+}
+
+/// A claimed [`SoloRateCache`] miss, held while its calibration runs.
+/// Dropping it before the slot is filled (a panicking calibration)
+/// releases the key, so a waiter takes over the claim.
 #[derive(Debug)]
 struct InFlight<'c> {
-    cache: &'c SharedSoloRateCache,
+    cache: &'c SoloRateCache,
     key: SoloKey,
 }
 
@@ -409,51 +351,25 @@ impl Drop for InFlight<'_> {
     }
 }
 
-/// The solo-rate cache a scenario run reads and fills: a caller's
-/// exclusive [`SoloRateCache`] borrow (the single-board entry points),
-/// or a shared reference to a fleet-wide [`SharedSoloRateCache`]
-/// (concurrent shards on a worker pool). Lookup results are identical
-/// either way — the shared cache only changes *who pays* for each
-/// calibration, never its value.
+/// The solo-rate cache a [`run_shard`] call reads and fills.
 #[derive(Debug)]
 pub enum SoloCacheHandle<'a> {
-    /// Exclusive access to a caller-owned cache.
-    Local(&'a mut SoloRateCache),
-    /// Shared read-mostly access to a fleet-wide concurrent cache.
-    Shared(&'a SharedSoloRateCache),
+    /// A shared reference to a [`SoloRateCache`].
+    Shared(&'a SoloRateCache),
 }
 
 impl<'a> SoloCacheHandle<'a> {
-    /// Looks `key` up, counting the hit/miss. On a miss of the shared
-    /// cache the caller holds the returned claim until it has called
-    /// [`Self::insert`].
-    fn get(&mut self, key: &SoloKey) -> Result<f64, Option<InFlight<'a>>> {
-        match self {
-            SoloCacheHandle::Local(c) => match c.map.get(key).copied() {
-                Some(v) => {
-                    c.hits += 1;
-                    Ok(v)
-                }
-                None => {
-                    c.misses += 1;
-                    Err(None)
-                }
-            },
-            SoloCacheHandle::Shared(c) => {
-                let c: &'a SharedSoloRateCache = c;
-                c.get_or_claim(key).map_err(Some)
-            }
-        }
+    /// Looks `key` up, counting the hit/miss. On a miss the caller
+    /// holds the returned claim until it has called [`Self::insert`].
+    fn get(&self, key: &SoloKey) -> Result<f64, InFlight<'a>> {
+        let SoloCacheHandle::Shared(c) = *self;
+        c.get_or_claim(key)
     }
 
     /// Inserts a freshly calibrated value.
-    fn insert(&mut self, key: SoloKey, value: f64) {
-        match self {
-            SoloCacheHandle::Local(c) => {
-                c.map.insert(key, value);
-            }
-            SoloCacheHandle::Shared(c) => c.fill(key, value),
-        }
+    fn insert(&self, key: SoloKey, value: f64) {
+        let SoloCacheHandle::Shared(c) = *self;
+        c.fill(key, value);
     }
 }
 
@@ -471,56 +387,31 @@ pub fn run_scenario(
     admission: &mut dyn AdmissionPolicy,
     runtime: ScenarioRuntime,
 ) -> Result<ScenarioOutcome, SimError> {
-    run_scenario_cached(
-        board,
-        engine_cfg,
-        spec,
-        admission,
-        runtime,
-        &mut SoloRateCache::new(),
-    )
-}
-
-/// [`run_scenario`] with a caller-owned [`SoloRateCache`], so a bench
-/// sweeping many scenarios over the same board pays for each
-/// `(benchmark, threads)` solo calibration once instead of once per
-/// scenario. Outcome-identical to the uncached entry point.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from engine interaction (invalid tenant
-/// specs, malformed decisions).
-pub fn run_scenario_cached(
-    board: &BoardSpec,
-    engine_cfg: &EngineConfig,
-    spec: &ScenarioSpec,
-    admission: &mut dyn AdmissionPolicy,
-    runtime: ScenarioRuntime,
-    solo_cache: &mut SoloRateCache,
-) -> Result<ScenarioOutcome, SimError> {
     run_scenario_with_sink(
         board,
         engine_cfg,
         spec,
         admission,
         runtime,
-        solo_cache,
+        &SoloRateCache::new(),
         &mut NullSink,
     )
 }
 
-/// [`run_scenario_cached`] streaming [`TelemetryEvent`]s into a
-/// caller-owned sink as the scenario unfolds: admission verdicts,
-/// per-decision search cost stamped with the manager's config version,
-/// per-tenant satisfaction transitions, config accept/reject
-/// diagnostics and per-cluster power at reconfigure instants and at
-/// the end. The sink is observe-only — with [`NullSink`] the run is
-/// bit-identical to the sink-less entry points.
+/// [`run_scenario`] with a caller-owned [`SoloRateCache`], so a bench
+/// sweeping many scenarios over the same board pays for each
+/// `(benchmark, threads)` solo calibration once instead of once per
+/// scenario, streaming [`TelemetryEvent`]s into a caller-owned sink as
+/// the scenario unfolds: admission verdicts, per-decision search cost
+/// stamped with the manager's config version, per-tenant satisfaction
+/// transitions, config accept/reject diagnostics and per-cluster power
+/// at reconfigure instants and at the end. The sink is observe-only —
+/// with [`NullSink`] the run is bit-identical to [`run_scenario`].
 ///
 /// # Errors
 ///
 /// Propagates [`SimError`] from engine interaction (invalid tenant
-/// specs, malformed decisions).
+/// specs, malformed decisions) and [`run_shard`]'s input validation.
 #[allow(clippy::too_many_arguments)]
 pub fn run_scenario_with_sink(
     board: &BoardSpec,
@@ -528,7 +419,7 @@ pub fn run_scenario_with_sink(
     spec: &ScenarioSpec,
     admission: &mut dyn AdmissionPolicy,
     runtime: ScenarioRuntime,
-    solo_cache: &mut SoloRateCache,
+    solo_cache: &SoloRateCache,
     sink: &mut dyn TelemetrySink,
 ) -> Result<ScenarioOutcome, SimError> {
     let schedule = spec.tenant_schedule();
@@ -546,7 +437,7 @@ pub fn run_scenario_with_sink(
         &shard_cfg,
         admission,
         runtime,
-        SoloCacheHandle::Local(solo_cache),
+        SoloCacheHandle::Shared(solo_cache),
         sink,
     )
 }
@@ -555,7 +446,7 @@ pub fn run_scenario_with_sink(
 /// explicit tenant schedule — everything a [`ScenarioSpec`] carries
 /// *except* the arrival process, templates and seed (a shard's tenants
 /// are decided upstream, e.g. by a fleet placement tier).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardConfig {
     /// Scenario horizon (ns) — same semantics as
     /// [`ScenarioSpec::horizon_ns`].
@@ -566,12 +457,10 @@ pub struct ShardConfig {
     /// SLO guard band ([`ScenarioSpec::target_guard`]).
     pub target_guard: f64,
     /// Control-plane events ([`ScenarioSpec::events`]).
-    #[serde(default)]
     pub events: Vec<TimedEvent>,
     /// The shard's deterministic fault plan
     /// ([`ScenarioSpec::faults`]) — injected into the serving engine,
     /// never into calibration engines.
-    #[serde(default)]
     pub faults: FaultPlan,
 }
 
@@ -600,9 +489,8 @@ impl ShardConfig {
 /// slice of a fleet placement) against one board. This is the
 /// shard-able core every `run_scenario*` entry point delegates to; it
 /// differs only in taking the schedule directly instead of deriving it
-/// from an arrival process, and in accepting either cache flavor via
-/// [`SoloCacheHandle`] — pass `SoloCacheHandle::Shared` to share one
-/// fleet-wide calibration cache across concurrent shards.
+/// from an arrival process. Concurrent shards may share one
+/// [`SoloRateCache`] through [`SoloCacheHandle::Shared`].
 ///
 /// For a fixed schedule the outcome is bit-identical to the equivalent
 /// [`run_scenario_with_sink`] call: same tenants, same instants, same
@@ -610,8 +498,11 @@ impl ShardConfig {
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`] from engine interaction (invalid tenant
-/// specs, malformed decisions).
+/// Returns [`SimError::InvalidSpec`] before the engine starts when
+/// `shard_cfg.target_guard` is negative or not finite, or when a
+/// tenant registers zero threads, has a non-finite `target_frac`, or
+/// has a `target_tolerance` outside `[0, 1)`. Propagates [`SimError`]
+/// from engine interaction (invalid app specs, malformed decisions).
 #[allow(clippy::too_many_arguments)]
 pub fn run_shard(
     board: &BoardSpec,
@@ -623,16 +514,13 @@ pub fn run_shard(
     solo_cache: SoloCacheHandle<'_>,
     sink: &mut dyn TelemetrySink,
 ) -> Result<ScenarioOutcome, SimError> {
+    validate_shard(schedule, shard_cfg)?;
     let manager = match runtime {
         ScenarioRuntime::Gts => None,
         ScenarioRuntime::MpHars { cfg, perf, power } => {
             Some(MpHarsManager::new(board, perf, power, cfg))
         }
     };
-    assert!(
-        shard_cfg.target_guard.is_finite() && shard_cfg.target_guard >= 0.0,
-        "target guard must be non-negative"
-    );
     // Events fire in `at_ns` order; the sort is stable so same-instant
     // events keep their spec order (determinism). Beyond-horizon
     // events never fire.
@@ -681,7 +569,7 @@ pub fn run_shard(
         queue: VecDeque::new(),
         by_app: HashMap::new(),
         live: 0,
-        env_fp: SoloRateCache::environment_fingerprint(board, engine_cfg),
+        env_fp: environment_fingerprint(board, engine_cfg),
         solo_cache,
         cache_hits: 0,
         cache_misses: 0,
@@ -693,6 +581,32 @@ pub fn run_shard(
         board_failed_at: None,
     };
     sim.run()
+}
+
+/// Rejects the shard inputs that would otherwise panic mid-run: the
+/// guard scales every registered target, a zero-thread tenant cannot
+/// be calibrated or registered, and admission builds each tenant's
+/// band with [`PerfTarget::from_center`].
+fn validate_shard(schedule: &[(u64, TenantSpec)], shard_cfg: &ShardConfig) -> Result<(), SimError> {
+    let guard = shard_cfg.target_guard;
+    if !(guard.is_finite() && guard >= 0.0) {
+        return Err(SimError::InvalidSpec(format!(
+            "target guard {guard} must be finite and non-negative"
+        )));
+    }
+    for (i, (_, ts)) in schedule.iter().enumerate() {
+        if ts.threads == 0
+            || !ts.target_frac.is_finite()
+            || !(0.0..1.0).contains(&ts.target_tolerance)
+        {
+            return Err(SimError::InvalidSpec(format!(
+                "tenant {i}: needs threads >= 1, a finite target_frac and a \
+                 target_tolerance in [0, 1) (got {}, {}, {})",
+                ts.threads, ts.target_frac, ts.target_tolerance
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// [`run_scenario_with_sink`] with the observability fold mounted in
@@ -714,7 +628,7 @@ pub fn run_scenario_with_metrics(
     spec: &ScenarioSpec,
     admission: &mut dyn AdmissionPolicy,
     runtime: ScenarioRuntime,
-    solo_cache: &mut SoloRateCache,
+    solo_cache: &SoloRateCache,
     sink: &mut dyn TelemetrySink,
 ) -> Result<ScenarioOutcome, SimError> {
     let mut metrics = hars_obs::MetricsSink::wrap(sink);
@@ -1190,8 +1104,10 @@ impl Sim<'_> {
         let (bench, threads) = (self.tenants[ti].ts.bench, self.tenants[ti].ts.threads);
         let solo = self.solo_rate(ti, bench, threads);
         let t = &mut self.tenants[ti];
+        // `validate_shard` vetted the tolerance and a finite fraction;
+        // only an overflowing `target_frac × solo` can still fail here.
         let target = PerfTarget::from_center(t.target_frac_center(solo), t.ts.target_tolerance)
-            .expect("positive target center");
+            .map_err(|e| SimError::InvalidSpec(format!("tenant {ti}: {e}")))?;
         let app = self.engine.add_app(t.ts.spec.clone())?;
         self.engine.set_perf_target(app, target)?;
         if let Some(m) = self.manager.as_mut() {
@@ -1434,11 +1350,11 @@ mod tests {
 
     #[test]
     fn concurrent_misses_on_one_key_calibrate_once() {
-        let cache = SharedSoloRateCache::new();
+        let cache = SoloRateCache::new();
         let claimed = Barrier::new(2);
         thread::scope(|s| {
             s.spawn(|| {
-                let mut h = SoloCacheHandle::Shared(&cache);
+                let h = SoloCacheHandle::Shared(&cache);
                 let claim = h.get(&KEY).expect_err("cold key");
                 claimed.wait();
                 // Let the second lookup find the slot pending.
@@ -1448,7 +1364,7 @@ mod tests {
             });
             s.spawn(|| {
                 claimed.wait();
-                let mut h = SoloCacheHandle::Shared(&cache);
+                let h = SoloCacheHandle::Shared(&cache);
                 assert_eq!(
                     h.get(&KEY).ok(),
                     Some(2.5),
@@ -1461,11 +1377,11 @@ mod tests {
 
     #[test]
     fn a_panicking_calibrator_releases_its_waiters() {
-        let cache = SharedSoloRateCache::new();
+        let cache = SoloRateCache::new();
         let claimed = Barrier::new(2);
         thread::scope(|s| {
             let failed = s.spawn(|| {
-                let mut h = SoloCacheHandle::Shared(&cache);
+                let h = SoloCacheHandle::Shared(&cache);
                 let _claim = h.get(&KEY).expect_err("cold key");
                 claimed.wait();
                 thread::sleep(Duration::from_millis(20));
@@ -1473,7 +1389,7 @@ mod tests {
             });
             let next = s.spawn(|| {
                 claimed.wait();
-                let mut h = SoloCacheHandle::Shared(&cache);
+                let h = SoloCacheHandle::Shared(&cache);
                 let claim = h.get(&KEY).expect_err("the released key is claimed again");
                 h.insert(KEY, 1.5);
                 drop(claim);
@@ -1482,7 +1398,7 @@ mod tests {
             next.join().expect("the waiter took over the calibration");
         });
         assert_eq!((cache.misses(), cache.len()), (2, 1));
-        let mut h = SoloCacheHandle::Shared(&cache);
+        let h = SoloCacheHandle::Shared(&cache);
         assert_eq!(h.get(&KEY).ok(), Some(1.5));
     }
 }

@@ -17,17 +17,14 @@
 //! event-free run, so a `(spec, seed)` pair still reproduces the
 //! identical scenario bit for bit across executor modes.
 
-use serde::{Deserialize, Serialize};
-
 use hars_core::ConfigDelta;
 
 use crate::admission::{AdmissionPolicy, AlwaysAdmit, BoundedQueue, CapacityGate};
 
-/// A serializable description of an admission policy to install
-/// mid-run. (A description, not a `Box<dyn AdmissionPolicy>`, so
-/// scenario specs stay `Clone + PartialEq + Serialize` and
-/// fingerprint-stable.)
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// A description of an admission policy to install mid-run. (A
+/// description, not a `Box<dyn AdmissionPolicy>`, so scenario specs
+/// stay `Clone + PartialEq` and fingerprint-stable.)
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdmissionSwap {
     /// Install [`AlwaysAdmit`].
     AlwaysAdmit,
@@ -87,7 +84,7 @@ impl AdmissionSwap {
 }
 
 /// One control-plane action a scenario performs mid-run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioEvent {
     /// Apply a [`ConfigDelta`] to the live runtime manager through its
     /// validated `apply_config` path. Rejections (including
@@ -104,7 +101,7 @@ pub enum ScenarioEvent {
 }
 
 /// A [`ScenarioEvent`] pinned to an engine instant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimedEvent {
     /// The scheduled instant (engine ns): the event takes effect at
     /// the first runtime interaction at or after it. Events at or

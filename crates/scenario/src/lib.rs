@@ -29,10 +29,10 @@
 //!   [`hars_core::TelemetryEvent`]s (the [`JsonlSink`] writes one JSON
 //!   object per line for dashboards and replay);
 //! * [`run_shard`] — the shard-able core the fleet layer drives: an
-//!   explicit pre-placed tenant schedule against one board, with
-//!   either a caller-owned [`SoloRateCache`] or a `Sync`-shareable
-//!   [`SharedSoloRateCache`] so concurrent shards pay for each unique
-//!   solo calibration once fleet-wide.
+//!   explicit pre-placed tenant schedule against one board, reading
+//!   one `Sync` single-flight [`SoloRateCache`] that sequential runs
+//!   and concurrent shards alike share, so each unique solo
+//!   calibration is paid for once.
 //!
 //! Determinism is load-bearing: a `(spec, seed)` pair reproduces the
 //! identical scenario bit for bit ([`ScenarioOutcome::fingerprint`] is
@@ -84,9 +84,9 @@ pub use admission::{
 };
 pub use arrival::ArrivalProcess;
 pub use driver::{
-    run_scenario, run_scenario_cached, run_scenario_with_metrics, run_scenario_with_sink,
-    run_shard, run_shard_with_metrics, synthetic_power_estimator, ScenarioRuntime, ScenarioSpec,
-    ShardConfig, SharedSoloRateCache, SoloCacheHandle, SoloRateCache,
+    run_scenario, run_scenario_with_metrics, run_scenario_with_sink, run_shard,
+    run_shard_with_metrics, ScenarioRuntime, ScenarioSpec, ShardConfig, SharedSoloRateCache,
+    SoloCacheHandle, SoloRateCache,
 };
 pub use events::{AdmissionSwap, ScenarioEvent, TimedEvent};
 pub use outcome::{ScenarioOutcome, TenantOutcome};

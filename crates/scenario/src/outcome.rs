@@ -1,12 +1,10 @@
 //! Per-tenant and scenario-level outcome aggregation.
 
-use serde::{Deserialize, Serialize};
-
 use hars_core::search::SearchStats;
 use hmp_sim::clock::ns_to_secs;
 
 /// What happened to one tenant over the scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantOutcome {
     /// Tenant index in arrival order.
     pub tenant: usize,
@@ -60,7 +58,7 @@ impl TenantOutcome {
 }
 
 /// Aggregate outcome of one open-system scenario run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioOutcome {
     /// Per-tenant records in arrival order.
     pub tenants: Vec<TenantOutcome>,
@@ -100,11 +98,9 @@ pub struct ScenarioOutcome {
     /// the engine's event-heap and fixed-step modes must report the
     /// same number. Deliberately *not* part of [`Self::fingerprint`]:
     /// it is reporting, like `wall_ns`, not a decision input.
-    #[serde(default)]
     pub sensor_samples: u64,
     /// Of [`Self::sensor_samples`], how many were coalesced across idle
     /// spans (counted, never materialized or charged a noise draw).
-    #[serde(default)]
     pub sensor_samples_coalesced: u64,
     /// The manager's final config version (0 for GTS runs and runs
     /// with no accepted reconfigure). Reporting, like
@@ -112,58 +108,46 @@ pub struct ScenarioOutcome {
     /// the version counter is control-plane bookkeeping, and the
     /// fingerprint already covers every behavioral consequence of an
     /// applied delta.
-    #[serde(default)]
     pub config_version: u64,
     /// Mid-run control-plane events accepted ([`crate::ScenarioEvent`]
     /// reconfigures, admission swaps, guard changes). Not fingerprinted
     /// (see [`Self::config_version`]).
-    #[serde(default)]
     pub reconfig_accepted: u64,
     /// Mid-run control-plane events rejected (invalid deltas, invalid
     /// swap parameters, `no-manager` reconfigures on GTS runs). Not
     /// fingerprinted.
-    #[serde(default)]
     pub reconfig_rejected: u64,
     /// Solo-rate calibrations this run served from its cache. Not
     /// fingerprinted: with a fleet-shared cache the hit/miss split
     /// depends on shard interleaving (the *values* never do).
-    #[serde(default)]
     pub solo_cache_hits: u64,
     /// Solo-rate calibrations this run had to compute (cache misses).
     /// Not fingerprinted (see [`Self::solo_cache_hits`]).
-    #[serde(default)]
     pub solo_cache_misses: u64,
     /// Fault-plane injections observed over the run (0 in fault-free
     /// runs). Reporting, not fingerprinted: faults change *behavior*,
     /// and the fingerprint covers every behavioral consequence.
-    #[serde(default)]
     pub faults_injected: u64,
     /// The instant the board died mid-run (`None` for runs that made
     /// it to the horizon). Arrivals after this instant were never
     /// processed — the fleet supervisor fails them over. Not
     /// fingerprinted (see [`Self::faults_injected`]).
-    #[serde(default)]
     pub board_failed_at: Option<u64>,
     /// Cluster quarantines the runtime applied (cap + offline). Not
     /// fingerprinted.
-    #[serde(default)]
     pub quarantines: u64,
     /// Admissions whose target was resolved from a last-known-good
     /// solo rate because a sensor fault was active (degraded-mode
     /// calibration). Not fingerprinted.
-    #[serde(default)]
     pub degraded_calibrations: u64,
     /// Heartbeats the monitor registry never saw because a
     /// heartbeat-stall fault window was active. Not fingerprinted.
-    #[serde(default)]
     pub stalled_heartbeats: u64,
     /// Power-sensor samples lost to injected dropout faults. Not
     /// fingerprinted.
-    #[serde(default)]
     pub sensor_samples_lost: u64,
     /// Power-sensor samples that repeated a stale reading under
     /// stuck-at faults. Not fingerprinted.
-    #[serde(default)]
     pub sensor_samples_stuck: u64,
     /// Cumulative search cost across all tenants' adaptations.
     pub search_stats: SearchStats,
@@ -173,7 +157,6 @@ pub struct ScenarioOutcome {
     /// Deliberately *outside* [`Self::fingerprint`]: metrics observe
     /// the run, they never feed back into it, and a metrics-threaded
     /// run must fingerprint identically to a `NullSink` run.
-    #[serde(default)]
     pub metrics: Option<hars_obs::MetricsSummary>,
 }
 

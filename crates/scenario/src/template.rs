@@ -10,13 +10,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use hmp_sim::AppSpec;
 use workloads::Benchmark;
 
 /// A parameterized tenant blueprint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppTemplate {
     /// The PARSEC-analog the tenant runs.
     pub bench: Benchmark,
@@ -109,7 +108,7 @@ impl AppTemplate {
 }
 
 /// A weighted set of templates the arrival process draws tenants from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TemplateSet {
     templates: Vec<(f64, AppTemplate)>,
 }

@@ -51,7 +51,7 @@ fn metrics_run_fingerprints_identically_to_null_sink_run() {
         &spec,
         &mut BoundedQueue::new(0.85, 4),
         ScenarioRuntime::mp_hars(&board, mp_hars::mp_hars_i()),
-        &mut SoloRateCache::new(),
+        &SoloRateCache::new(),
         &mut NullSink,
     )
     .expect("runs");
@@ -77,7 +77,7 @@ fn replayed_capture_matches_live_summary_byte_for_byte() {
         &spec,
         &mut AlwaysAdmit,
         ScenarioRuntime::mp_hars(&board, mp_hars::mp_hars_i()),
-        &mut SoloRateCache::new(),
+        &SoloRateCache::new(),
         &mut capture,
     )
     .expect("runs");

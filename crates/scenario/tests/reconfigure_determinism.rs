@@ -101,7 +101,7 @@ fn run_mode(
         spec,
         &mut AlwaysAdmit,
         runtime,
-        &mut SoloRateCache::new(),
+        &SoloRateCache::new(),
         sink,
     )
     .expect("scenario runs")
@@ -224,7 +224,7 @@ fn gts_runs_reject_reconfigures_with_no_manager() {
         &spec,
         &mut AlwaysAdmit,
         ScenarioRuntime::Gts,
-        &mut SoloRateCache::new(),
+        &SoloRateCache::new(),
         &mut sink,
     )
     .expect("scenario runs");

@@ -1,11 +1,10 @@
 //! Offline stand-in for `serde`.
 //!
-//! The container this repository builds in has no crates.io access, so
-//! this shim provides the exact surface the workspace uses: the
-//! `Serialize` / `Deserialize` marker traits and their derive macros.
-//! Nothing in the workspace serializes at runtime (the derives exist so
-//! downstream users of the real serde could); the traits are therefore
-//! empty markers and the derives emit empty impls.
+//! No workspace type derives these traits any more. The shim stays
+//! only because `perfbench/Cargo.lock` records `serde` as a dependency
+//! of the crates perfbench builds; it goes when that lockfile is next
+//! regenerated. The traits are empty markers and the derives emit
+//! empty impls.
 
 /// Marker trait mirroring `serde::Serialize`.
 pub trait Serialize {}

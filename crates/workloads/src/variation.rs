@@ -8,10 +8,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One phase of a cyclic phase pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
     /// Work multiplier applied during this phase.
     pub multiplier: f64,
@@ -27,7 +26,7 @@ impl Phase {
 }
 
 /// Parameters of a workload-variation schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VariationSpec {
     /// Mean work per unit (work units).
     pub base_work: f64,

@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &spec,
         &mut BoundedQueue::new(0.85, 5),
         ScenarioRuntime::mp_hars(&board, hars::mp_hars::mp_hars_i()),
-        &mut SoloRateCache::new(),
+        &SoloRateCache::new(),
         &mut NullSink,
     )?;
     let m = out.metrics.as_ref().expect("metrics entry point fills it");

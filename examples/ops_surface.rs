@@ -103,7 +103,7 @@ fn run(exec: ExecMode) -> Result<(ScenarioOutcome, Vec<u8>), Box<dyn std::error:
         &spec(),
         &mut AlwaysAdmit,
         ScenarioRuntime::mp_hars(&board, hars::mp_hars::mp_hars_e()),
-        &mut SoloRateCache::new(),
+        &SoloRateCache::new(),
         &mut sink,
     )?;
     assert_eq!(sink.events_dropped(), 0, "in-memory writes never fail");

@@ -82,11 +82,10 @@ pub mod prelude {
         SloClass, TenantTimeline,
     };
     pub use hars_scenario::{
-        run_scenario, run_scenario_cached, run_scenario_with_metrics, run_scenario_with_sink,
-        run_shard, run_shard_with_metrics, AdmissionPolicy, AdmissionSwap, AlwaysAdmit,
-        AppTemplate, ArrivalProcess, BoundedQueue, CapacityGate, JsonlSink, ScenarioEvent,
-        ScenarioRuntime, ScenarioSpec, ShardConfig, SharedSoloRateCache, SoloCacheHandle,
-        SoloRateCache, TemplateSet, TimedEvent,
+        run_scenario, run_scenario_with_metrics, run_scenario_with_sink, run_shard,
+        run_shard_with_metrics, AdmissionPolicy, AdmissionSwap, AlwaysAdmit, AppTemplate,
+        ArrivalProcess, BoundedQueue, CapacityGate, JsonlSink, ScenarioEvent, ScenarioRuntime,
+        ScenarioSpec, ShardConfig, SoloCacheHandle, SoloRateCache, TemplateSet, TimedEvent,
     };
     pub use heartbeats::{AppId, HeartbeatMonitor, PerfTarget};
     pub use hmp_sim::microbench::CalibrationConfig;
