@@ -95,7 +95,7 @@ pub use manager::{Adaptation, Decision, DecisionCore, HarsConfig, RuntimeManager
 pub use perf_est::{PerfEstimator, UnitTimes};
 pub use power_est::PowerEstimator;
 pub use predictor::{Kalman1D, Predictor};
-pub use ratio_learn::{PendingPrediction, RatioLearner, RatioLearnerConfig, RatioLearning};
+pub use ratio_learn::{PendingPrediction, RatioLearner, RatioLearning};
 pub use sched::SchedulerKind;
 pub use search::{
     AnyStrategy, BeamSearch, BestTracker, ExhaustiveSweep, FreqChange, GreedyFrontier, RankedEval,

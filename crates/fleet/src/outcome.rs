@@ -133,7 +133,7 @@ pub struct FleetOutcome {
     /// Unlike [`Self::mean_satisfaction`] (which averages over tenants
     /// that ran), this charges the fleet for work it never served —
     /// dead boards, lost tenants, rejections — making it the honest
-    /// chaos-bench objective: failover raises it, faults lower it. Not
+    /// fault-plane objective: failover raises it, faults lower it. Not
     /// fingerprinted.
     pub service_level: f64,
 }

@@ -32,10 +32,9 @@
 //! (full budget) — and re-places them through the same placement tier
 //! restricted to surviving boards, with dead boards' ledger claims
 //! expired. Each victim re-arrives at
-//! `max(arrival, failure) + backoff · 2^(attempt-1)`, capped at
-//! [`crate::FleetFaultSpec::max_retries`] attempts; destination shards
-//! are re-run with their extended schedules and the loop repeats until
-//! no new shard fails. Because fault plans are fixed per board, a
+//! `max(arrival, failure) + BACKOFF_NS · 2^(attempt-1)`, capped at
+//! `MAX_RETRIES` attempts; destination shards are re-run with their
+//! extended schedules and the loop repeats until no new shard fails. Because fault plans are fixed per board, a
 //! board that survived round one survives every re-run, so the loop
 //! terminates — and because every supervisor pass is sequential and
 //! every shard result is a pure function of its inputs, the whole
@@ -49,14 +48,21 @@ use parking_lot::Mutex;
 
 use hars_core::{NullSink, TelemetryEvent, TelemetrySink};
 use hars_scenario::{
-    run_shard, run_shard_with_metrics, ScenarioOutcome, ShardConfig, SoloCacheHandle,
-    SoloRateCache, TenantSpec,
+    run_shard, run_shard_with_metrics, validate_draws, ScenarioOutcome, ShardConfig,
+    SoloCacheHandle, SoloRateCache, TenantSpec,
 };
 use hmp_sim::{EngineConfig, FaultPlan, SimError};
 
 use crate::outcome::{FleetAccum, FleetOutcome, ShardFailure};
 use crate::placement::{place, place_masked, LedgerSet, EST_NS_PER_HEARTBEAT};
 use crate::spec::{shard_seed, FleetCacheMode, FleetSpec};
+
+/// Failover attempts per tenant before it is declared lost.
+const MAX_RETRIES: u32 = 3;
+
+/// Base failover re-arrival delay (500 ms); attempt `k` (1-based)
+/// waits `BACKOFF_NS << (k - 1)` after the failure instant.
+const BACKOFF_NS: u64 = 500_000_000;
 
 /// Runs the whole fleet described by `spec` on `workers` threads and
 /// returns the merged outcome.
@@ -72,9 +78,11 @@ use crate::spec::{shard_seed, FleetCacheMode, FleetSpec};
 ///
 /// # Errors
 ///
-/// Propagates the first [`SimError`] any shard hits (remaining shards
-/// are abandoned). Shard *panics* do not error: they become
-/// [`FleetOutcome::failed_shards`] rows.
+/// Returns [`SimError::InvalidSpec`] before placement when
+/// [`hars_scenario::validate_draws`] rejects the spec's arrivals or
+/// templates. Propagates the first [`SimError`] any shard hits
+/// (remaining shards are abandoned). Shard *panics* do not error: they
+/// become [`FleetOutcome::failed_shards`] rows.
 ///
 /// # Panics
 ///
@@ -97,8 +105,7 @@ pub fn run_fleet(
 ///
 /// # Errors
 ///
-/// Propagates the first [`SimError`] any shard hits (remaining shards
-/// are abandoned).
+/// As [`run_fleet`].
 ///
 /// # Panics
 ///
@@ -149,6 +156,7 @@ fn run_fleet_inner(
 ) -> Result<FleetOutcome, SimError> {
     assert!(workers > 0, "need at least one worker");
     let n = spec.boards.len();
+    validate_draws(&spec.arrivals, &spec.templates)?;
     let schedule = spec.tenant_schedule();
     let placement = place(spec, &schedule, sink);
 
@@ -185,12 +193,12 @@ fn run_fleet_inner(
 
     // Supervision: detect dead shards, fail their tenants over onto
     // survivors, re-run the destinations, repeat until stable.
-    let failover = spec.faults.as_ref().filter(|f| f.failover);
+    let failover = spec.faults.as_ref().is_some_and(|f| f.failover);
     let mut attempts: Vec<u32> = vec![0; schedule.len()];
     let mut handled_dead = vec![false; n];
     let mut tenants_failed_over = 0u64;
     let mut failover_lost = 0u64;
-    if let Some(fx) = failover {
+    if failover {
         loop {
             let newly: Vec<usize> = (0..n)
                 .filter(|&s| !handled_dead[s] && results[s].as_ref().is_some_and(ShardRun::is_dead))
@@ -225,8 +233,8 @@ fn run_fleet_inner(
                     attempts[g] = attempt;
                     let retry_at = arrival_ns
                         .max(&fail_ns)
-                        .saturating_add(fx.backoff_ns << (attempt - 1).min(16));
-                    if attempt > fx.max_retries || retry_at >= spec.horizon_ns {
+                        .saturating_add(BACKOFF_NS << (attempt - 1).min(16));
+                    if attempt > MAX_RETRIES || retry_at >= spec.horizon_ns {
                         failover_lost += 1;
                         sink.emit(&TelemetryEvent::TenantFailedOver {
                             t_ns: fail_ns,

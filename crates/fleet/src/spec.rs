@@ -155,18 +155,14 @@ pub struct FleetFaultSpec {
     /// Per-board probability of a windowed heartbeat stall.
     pub hb_stall_prob: f64,
     /// Whether the pool's shard supervisor fails tenants of dead
-    /// boards over onto survivors (off = report-only).
+    /// boards over onto survivors (off = report-only), with 3 retries
+    /// and a 500 ms base backoff.
     pub failover: bool,
-    /// Failover attempts per tenant before it is declared lost.
-    pub max_retries: u32,
-    /// Base failover re-arrival delay; attempt `k` (1-based) waits
-    /// `backoff_ns << (k - 1)` after the failure instant.
-    pub backoff_ns: u64,
 }
 
 impl FleetFaultSpec {
-    /// A fault spec with every channel at probability zero, failover
-    /// on, 3 retries and a 500 ms base backoff.
+    /// A fault spec with every channel at probability zero and
+    /// failover on.
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
@@ -176,8 +172,6 @@ impl FleetFaultSpec {
             sensor_fault_prob: 0.0,
             hb_stall_prob: 0.0,
             failover: true,
-            max_retries: 3,
-            backoff_ns: 500_000_000,
         }
     }
 

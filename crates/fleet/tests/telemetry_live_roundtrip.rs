@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 
 use hars_core::{TelemetryEvent, VecSink};
 use hars_fleet::{run_fleet, FleetBoard, FleetFaultSpec, FleetRuntimeKind, FleetSpec};
-use hars_obs::{parse_capture, replay_capture, summarize, MetricsConfig};
+use hars_obs::{parse_capture, replay_capture, summarize};
 use hars_scenario::{
     run_scenario_with_sink, AdmissionSwap, AlwaysAdmit, AppTemplate, ArrivalProcess, ScenarioEvent,
     ScenarioRuntime, ScenarioSpec, SoloRateCache, TemplateSet,
@@ -24,7 +24,7 @@ fn round_trip(events: &[TelemetryEvent]) -> BTreeSet<&'static str> {
     assert_eq!(parse_capture(&jsonl).expect("capture parses"), events);
     assert_eq!(
         replay_capture(&jsonl).expect("capture parses"),
-        summarize(MetricsConfig::default(), events)
+        summarize(events)
     );
     events.iter().map(TelemetryEvent::kind).collect()
 }

@@ -21,8 +21,8 @@ use crate::events::{EventHeap, EventKey};
 use crate::fault::{FaultKind, FaultNotice, FaultPlan};
 use crate::freq::FreqKhz;
 use crate::power::cluster_power;
-use crate::sched::gts::{gts_tick, update_loads, Topology};
-use crate::sched::{dequeue_thread, place_thread, CoreState, GtsConfig, RunQueues};
+use crate::sched::gts::{gts_tick, update_loads, Topology, TICK_NS};
+use crate::sched::{dequeue_thread, place_thread, CoreState, RunQueues};
 use crate::sensor::PowerSensor;
 use crate::spec::{AppSpec, ParallelismModel};
 use crate::thread::{BlockReason, RunState, ThreadState};
@@ -54,8 +54,6 @@ pub enum ExecMode {
 /// Engine-wide configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// GTS scheduler parameters.
-    pub gts: GtsConfig,
     /// Relative power-sensor noise (σ of a multiplicative Gaussian).
     pub sensor_noise: f64,
     /// Seed for all engine randomness (sensor noise).
@@ -77,7 +75,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            gts: GtsConfig::default(),
             sensor_noise: 0.01,
             seed: 0x4841_5253, // "HARS"
             hb_window: 20,
@@ -203,7 +200,6 @@ impl Engine {
     /// Clusters start at their **maximum** frequencies (the Linux
     /// performance governor state the paper's baseline runs under).
     pub fn new(board: BoardSpec, cfg: EngineConfig) -> Self {
-        cfg.gts.assert_valid();
         board.assert_valid();
         let cores = RunQueues::new(
             (0..board.n_cores())
@@ -212,7 +208,7 @@ impl Engine {
         );
         let freqs: Vec<FreqKhz> = board.cluster_ids().map(|c| board.ladder(c).max()).collect();
         let sensor = PowerSensor::new(board.sensor_period_ns, cfg.sensor_noise, cfg.seed);
-        let next_tick_ns = cfg.gts.tick_ns;
+        let next_tick_ns = TICK_NS;
         let registry = HeartbeatRegistry::new(cfg.hb_window);
         let n_clusters = board.n_clusters();
         let n_cores = board.n_cores();
@@ -966,7 +962,6 @@ impl Engine {
             let t = &self.threads[tid];
             t.load == 0.0 && t.runnable_ns_since_tick == 0
         });
-        let tick_ns = self.cfg.gts.tick_ns;
         loop {
             // With no load left to decay, each tick up to the next
             // sample or the stopper is a pure schedule advance over the
@@ -974,12 +969,12 @@ impl Engine {
             let limit = stop.min(self.sensor.next_sample_ns());
             if !loads_live
                 && self.next_tick_ns < limit
-                && self.next_tick_ns - self.now_ns == tick_ns
+                && self.next_tick_ns - self.now_ns == TICK_NS
             {
-                let k = (limit - 1 - self.next_tick_ns) / tick_ns + 1;
-                self.energy.accumulate_idle_repeat(&powers[..n], tick_ns, k);
-                self.now_ns += k * tick_ns;
-                self.next_tick_ns += k * tick_ns;
+                let k = (limit - 1 - self.next_tick_ns) / TICK_NS + 1;
+                self.energy.accumulate_idle_repeat(&powers[..n], TICK_NS, k);
+                self.now_ns += k * TICK_NS;
+                self.next_tick_ns += k * TICK_NS;
                 continue;
             }
             let next = limit.min(self.next_tick_ns);
@@ -991,10 +986,10 @@ impl Engine {
             }
             if self.next_tick_ns <= self.now_ns {
                 if loads_live {
-                    update_loads(&self.cfg.gts, &self.live, &mut self.threads);
+                    update_loads(&self.live, &mut self.threads);
                     loads_live = !self.live.iter().all(|&tid| self.threads[tid].load == 0.0);
                 }
-                self.next_tick_ns += self.cfg.gts.tick_ns;
+                self.next_tick_ns += TICK_NS;
             }
             if self.sensor.next_sample_ns() <= self.now_ns {
                 if self.now_ns < self.sensor_dropout_until {
@@ -1115,7 +1110,6 @@ impl Engine {
                     Vec::new()
                 };
                 gts_tick(
-                    &self.cfg.gts,
                     &self.topology,
                     &self.live,
                     &mut self.threads,
@@ -1143,7 +1137,7 @@ impl Engine {
                         }
                     }
                 }
-                self.next_tick_ns += self.cfg.gts.tick_ns;
+                self.next_tick_ns += TICK_NS;
                 let tick = self.next_tick_ns;
                 self.push_event(tick, EventKey::Tick);
                 progressed |= tick <= self.now_ns;

@@ -14,7 +14,7 @@
 //! * a ground-truth `V²f` power model measured by a sampling
 //!   [`PowerSensor`] (one rail per cluster; 263,808 µs period on the
 //!   XU3, like the board's INA231 rails),
-//! * a Linux GTS-style HMP scheduler ([`GtsConfig`]) whose up/down
+//! * a Linux GTS-style HMP scheduler (Linux 3.10 thresholds) whose up/down
 //!   migrations climb and descend the board's performance order one
 //!   cluster at a time,
 //! * multithreaded application models (data-parallel barriers, bounded
@@ -67,7 +67,6 @@ pub use error::SimError;
 pub use fault::{FaultKind, FaultNotice, FaultPlan, TimedFault};
 pub use freq::{FreqKhz, FreqLadder};
 pub use power::{board_power, cluster_power};
-pub use sched::GtsConfig;
 pub use sensor::{PowerSample, PowerSensor};
 pub use spec::{AppSpec, ParallelismModel, SpeedProfile, WorkSource};
 pub use trace::{TraceEvent, TraceLog};

@@ -5,9 +5,9 @@
 //! clusters with two thresholds:
 //!
 //! * **up-migration**: a thread on the little cluster whose load reaches
-//!   `up_threshold` is moved to the big cluster;
+//!   `UP_THRESHOLD` is moved to the big cluster;
 //! * **down-migration**: a thread on the big cluster whose load falls
-//!   below `down_threshold` is moved to the little cluster.
+//!   below `DOWN_THRESHOLD` is moved to the little cluster.
 //!
 //! Within a cluster, a greedy balance pass evens out run-queue lengths.
 //!
@@ -22,71 +22,30 @@ use crate::cpuset::{CoreId, CpuSet};
 use crate::sched::{migrate_thread, CoreState, RunQueues};
 use crate::thread::ThreadState;
 
-/// GTS tuning parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GtsConfig {
-    /// Scheduler tick period (load update + migration check), ns.
-    pub tick_ns: u64,
-    /// Load at or above which a little-cluster thread migrates up.
-    pub up_threshold: f64,
-    /// Load below which a big-cluster thread migrates down.
-    pub down_threshold: f64,
-    /// EWMA decay per tick: `load = decay·load + (1−decay)·frac`.
-    pub load_decay: f64,
-    /// Minimum run-queue length difference that triggers an in-cluster
-    /// balance migration.
-    pub balance_imbalance: usize,
-    /// Up-migration only targets a big core whose run queue holds at
-    /// most this many threads — a loaded big cluster stops attracting
-    /// more work (the patchset checks the destination's capacity).
-    pub up_migration_max_busy: usize,
-    /// An idle core pulls a thread from any core whose run queue is at
-    /// least this long (cross-cluster idle balancing; 0 disables).
-    /// At the default 3, a single 8-thread app still packs onto the big
-    /// cluster (2 threads/core), but two such apps spill onto the
-    /// little cores instead of leaving half the board idle.
-    pub idle_pull_min_queue: usize,
-}
+// GTS tuning, patterned on the Linux 3.10 big.LITTLE MP defaults
+// (thresholds 80%/30%, ~4 ms scheduling period).
 
-impl Default for GtsConfig {
-    /// Values patterned on the Linux 3.10 big.LITTLE MP defaults
-    /// (thresholds 80%/30%, ~4 ms scheduling period).
-    fn default() -> Self {
-        Self {
-            tick_ns: 4_000_000,
-            up_threshold: 0.80,
-            down_threshold: 0.30,
-            load_decay: 0.5,
-            balance_imbalance: 2,
-            up_migration_max_busy: 1,
-            idle_pull_min_queue: 3,
-        }
-    }
-}
-
-impl GtsConfig {
-    /// Validates threshold ordering and ranges.
-    ///
-    /// # Panics
-    ///
-    /// Panics when thresholds are outside `[0, 1]`, inverted, or the tick
-    /// is zero — these are programmer errors in experiment setup.
-    pub fn assert_valid(&self) {
-        assert!(self.tick_ns > 0, "GTS tick must be positive");
-        assert!(
-            (0.0..=1.0).contains(&self.up_threshold) && (0.0..=1.0).contains(&self.down_threshold),
-            "GTS thresholds must be fractions"
-        );
-        assert!(
-            self.down_threshold <= self.up_threshold,
-            "down threshold must not exceed up threshold"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.load_decay),
-            "decay must be in [0,1)"
-        );
-    }
-}
+/// Scheduler tick period (load update + migration check), ns.
+pub(crate) const TICK_NS: u64 = 4_000_000;
+/// Load at or above which a thread migrates one cluster up.
+const UP_THRESHOLD: f64 = 0.80;
+/// Load below which a thread migrates one cluster down.
+const DOWN_THRESHOLD: f64 = 0.30;
+/// EWMA decay per tick: `load = decay·load + (1−decay)·frac`.
+const LOAD_DECAY: f64 = 0.5;
+/// Minimum run-queue length difference that triggers an in-cluster
+/// balance migration.
+const BALANCE_IMBALANCE: usize = 2;
+/// Up-migration only targets a core whose run queue holds at most this
+/// many threads — a loaded faster cluster stops attracting more work
+/// (the patchset checks the destination's capacity).
+const UP_MIGRATION_MAX_BUSY: usize = 1;
+/// An idle core pulls a thread from any core whose run queue is at
+/// least this long (cross-cluster idle balancing). At 3, a single
+/// 8-thread app still packs onto the big cluster (2 threads/core), but
+/// two such apps spill onto the little cores instead of leaving half
+/// the board idle.
+const IDLE_PULL_MIN_QUEUE: usize = 3;
 
 /// The board facts a GTS tick reads, computed once per engine: each
 /// cluster's cores and its next-faster and next-slower neighbours
@@ -126,27 +85,26 @@ impl Topology {
 /// leaves them alone. The cost is O(live threads + cores) plus
 /// O(cores) per idle pull.
 pub(crate) fn gts_tick(
-    cfg: &GtsConfig,
     topo: &Topology,
     live: &[usize],
     threads: &mut [ThreadState],
     cores: &mut RunQueues,
 ) {
-    update_loads(cfg, live, threads);
-    migration_pass(cfg, topo, live, threads, cores);
+    update_loads(live, threads);
+    migration_pass(topo, live, threads, cores);
     for &cluster in &topo.cluster_cores {
-        balance_cluster(cfg, cluster, threads, cores);
+        balance_cluster(cluster, threads, cores);
     }
-    idle_pull(cfg, threads, cores);
+    idle_pull(threads, cores);
 }
 
 /// Updates the load EWMAs of the `live` threads and resets their
 /// per-tick counters.
-pub(crate) fn update_loads(cfg: &GtsConfig, live: &[usize], threads: &mut [ThreadState]) {
+pub(crate) fn update_loads(live: &[usize], threads: &mut [ThreadState]) {
     for &tid in live {
         let t = &mut threads[tid];
-        let frac = (t.runnable_ns_since_tick as f64 / cfg.tick_ns as f64).min(1.0);
-        t.load = cfg.load_decay * t.load + (1.0 - cfg.load_decay) * frac;
+        let frac = (t.runnable_ns_since_tick as f64 / TICK_NS as f64).min(1.0);
+        t.load = LOAD_DECAY * t.load + (1.0 - LOAD_DECAY) * frac;
         t.runnable_ns_since_tick = 0;
     }
 }
@@ -161,7 +119,6 @@ pub(crate) fn update_loads(cfg: &GtsConfig, live: &[usize], threads: &mut [Threa
 /// special case. Only runnable threads move, so the pass walks the
 /// `live` ids (ascending, like a walk over every thread).
 fn migration_pass(
-    cfg: &GtsConfig,
     topo: &Topology,
     live: &[usize],
     threads: &mut [ThreadState],
@@ -175,12 +132,12 @@ fn migration_pass(
             continue;
         }
         let cluster = cores[core.0].cluster.index();
-        let (target_cluster, upward) = if threads[tid].load >= cfg.up_threshold {
+        let (target_cluster, upward) = if threads[tid].load >= UP_THRESHOLD {
             match topo.faster[cluster] {
                 Some(c) => (c, true),
                 None => continue,
             }
-        } else if threads[tid].load < cfg.down_threshold {
+        } else if threads[tid].load < DOWN_THRESHOLD {
             match topo.slower[cluster] {
                 Some(c) => (c, false),
                 None => continue,
@@ -192,7 +149,7 @@ fn migration_pass(
             topo.cluster_cores[target_cluster.index()].intersection(threads[tid].affinity);
         if let Some(dest) = least_loaded_core(allowed, cores) {
             // A saturated faster cluster stops attracting up-migrations.
-            if upward && cores[dest.0].nr_running() > cfg.up_migration_max_busy {
+            if upward && cores[dest.0].nr_running() > UP_MIGRATION_MAX_BUSY {
                 continue;
             }
             migrate_thread(tid, dest, threads, cores);
@@ -212,12 +169,7 @@ fn least_loaded_core(allowed: CpuSet, cores: &[CoreState]) -> Option<CoreId> {
 /// move one thread from the most crowded run queue to the least
 /// crowded as long as the imbalance threshold is met. Bounded to the
 /// cluster's thread count so it always terminates.
-fn balance_cluster(
-    cfg: &GtsConfig,
-    cluster: CpuSet,
-    threads: &mut [ThreadState],
-    cores: &mut RunQueues,
-) {
+fn balance_cluster(cluster: CpuSet, threads: &mut [ThreadState], cores: &mut RunQueues) {
     let max_moves = cluster
         .iter()
         .map(|c| cores[c.0].nr_running())
@@ -226,7 +178,7 @@ fn balance_cluster(
         let Some((busiest, idlest)) = busiest_idlest(cluster, cores) else {
             return;
         };
-        if cores[busiest.0].nr_running() < cores[idlest.0].nr_running() + cfg.balance_imbalance {
+        if cores[busiest.0].nr_running() < cores[idlest.0].nr_running() + BALANCE_IMBALANCE {
             return;
         }
         // Pick a movable thread (affinity must allow the destination).
@@ -244,16 +196,13 @@ fn balance_cluster(
 
 /// Cross-cluster idle balancing: every idle core, in id order, pulls
 /// one thread from the longest run queue on the board once that queue
-/// reaches the configured threshold.
+/// reaches [`IDLE_PULL_MIN_QUEUE`].
 ///
 /// The longest queue is found once and found again only after a pull,
 /// the only event that changes it, so a tick costs O(cores) plus
 /// O(busy cores) per pull rather than O(cores²).
-fn idle_pull(cfg: &GtsConfig, threads: &mut [ThreadState], cores: &mut RunQueues) {
-    if cfg.idle_pull_min_queue == 0 {
-        return;
-    }
-    let mut busiest = busiest_queue(cfg, cores);
+fn idle_pull(threads: &mut [ThreadState], cores: &mut RunQueues) {
+    let mut busiest = busiest_queue(cores);
     for idle_idx in 0..cores.len() {
         // No queue is long enough: nothing can be pulled from here on.
         let Some(src) = busiest else {
@@ -270,18 +219,18 @@ fn idle_pull(cfg: &GtsConfig, threads: &mut [ThreadState], cores: &mut RunQueues
             .find(|&tid| threads[tid].affinity.contains(idle_id));
         if let Some(tid) = candidate {
             migrate_thread(tid, idle_id, threads, cores);
-            busiest = busiest_queue(cfg, cores);
+            busiest = busiest_queue(cores);
         }
     }
 }
 
-/// The longest run queue holding at least `idle_pull_min_queue`
+/// The longest run queue holding at least [`IDLE_PULL_MIN_QUEUE`]
 /// threads (ties to the highest id). Only busy cores can qualify.
-fn busiest_queue(cfg: &GtsConfig, cores: &RunQueues) -> Option<CoreId> {
+fn busiest_queue(cores: &RunQueues) -> Option<CoreId> {
     cores
         .busy()
         .iter()
-        .filter(|c| cores[c.0].nr_running() >= cfg.idle_pull_min_queue)
+        .filter(|c| cores[c.0].nr_running() >= IDLE_PULL_MIN_QUEUE)
         .max_by_key(|c| (cores[c.0].nr_running(), c.0))
 }
 
@@ -325,48 +274,45 @@ mod tests {
     }
 
     /// A tick with every thread live.
-    fn tick(
-        cfg: &GtsConfig,
-        board: &BoardSpec,
-        threads: &mut [ThreadState],
-        cores: &mut RunQueues,
-    ) {
+    fn tick(board: &BoardSpec, threads: &mut [ThreadState], cores: &mut RunQueues) {
         let live: Vec<usize> = (0..threads.len()).collect();
-        gts_tick(cfg, &Topology::new(board), &live, threads, cores);
+        gts_tick(&Topology::new(board), &live, threads, cores);
     }
 
     #[test]
     fn default_config_is_valid() {
-        GtsConfig::default().assert_valid();
+        const {
+            assert!(TICK_NS > 0);
+            assert!(0.0 <= DOWN_THRESHOLD && DOWN_THRESHOLD <= UP_THRESHOLD && UP_THRESHOLD <= 1.0);
+            assert!(0.0 <= LOAD_DECAY && LOAD_DECAY < 1.0);
+        }
     }
 
     #[test]
     fn load_ewma_converges_to_runnable_fraction() {
-        let cfg = GtsConfig::default();
         let (_b, mut threads, _c) = setup(1);
         for _ in 0..32 {
-            threads[0].runnable_ns_since_tick = cfg.tick_ns; // fully busy
-            update_loads(&cfg, &[0], &mut threads);
+            threads[0].runnable_ns_since_tick = TICK_NS; // fully busy
+            update_loads(&[0], &mut threads);
         }
         assert!((threads[0].load - 1.0).abs() < 1e-6);
         for _ in 0..32 {
-            threads[0].runnable_ns_since_tick = cfg.tick_ns / 4;
-            update_loads(&cfg, &[0], &mut threads);
+            threads[0].runnable_ns_since_tick = TICK_NS / 4;
+            update_loads(&[0], &mut threads);
         }
         assert!((threads[0].load - 0.25).abs() < 1e-6);
     }
 
     #[test]
     fn busy_little_thread_migrates_up() {
-        let cfg = GtsConfig::default();
         let (board, mut threads, mut cores) = setup(1);
         threads[0].core = Some(CoreId(0)); // little
         cores.enqueue(CoreId(0), 0);
         // Fully busy across several ticks: load converges above the
         // up-migration threshold.
         for _ in 0..8 {
-            threads[0].runnable_ns_since_tick = cfg.tick_ns;
-            tick(&cfg, &board, &mut threads, &mut cores);
+            threads[0].runnable_ns_since_tick = TICK_NS;
+            tick(&board, &mut threads, &mut cores);
         }
         let dest = threads[0].core.unwrap();
         assert_eq!(board.cluster_of(dest), ClusterId::BIG);
@@ -374,14 +320,13 @@ mod tests {
 
     #[test]
     fn idle_big_thread_migrates_down() {
-        let cfg = GtsConfig::default();
         let (board, mut threads, mut cores) = setup(1);
         threads[0].core = Some(CoreId(5));
         cores.enqueue(CoreId(5), 0);
         threads[0].load = 0.9;
         // Thread is idle from now on: runnable time 0 each tick.
         for _ in 0..8 {
-            tick(&cfg, &board, &mut threads, &mut cores);
+            tick(&board, &mut threads, &mut cores);
         }
         let dest = threads[0].core.unwrap();
         assert_eq!(board.cluster_of(dest), ClusterId::LITTLE);
@@ -389,13 +334,12 @@ mod tests {
 
     #[test]
     fn pinned_threads_never_migrate() {
-        let cfg = GtsConfig::default();
         let (board, mut threads, mut cores) = setup(1);
         threads[0].affinity = CpuSet::single(CoreId(0));
         threads[0].core = Some(CoreId(0));
         cores.enqueue(CoreId(0), 0);
         threads[0].load = 1.0;
-        tick(&cfg, &board, &mut threads, &mut cores);
+        tick(&board, &mut threads, &mut cores);
         assert_eq!(threads[0].core, Some(CoreId(0)));
     }
 
@@ -403,7 +347,6 @@ mod tests {
     fn cpu_bound_threads_pack_onto_big_cluster() {
         // The paper's baseline pathology: 8 CPU-bound threads all end up
         // on the 4 big cores; little cores sit idle.
-        let cfg = GtsConfig::default();
         let (board, mut threads, mut cores) = setup(8);
         for (tid, t) in threads.iter_mut().enumerate() {
             t.core = Some(CoreId(tid % 4)); // start on little
@@ -411,9 +354,9 @@ mod tests {
         }
         for _ in 0..16 {
             for t in threads.iter_mut() {
-                t.runnable_ns_since_tick = cfg.tick_ns;
+                t.runnable_ns_since_tick = TICK_NS;
             }
-            tick(&cfg, &board, &mut threads, &mut cores);
+            tick(&board, &mut threads, &mut cores);
         }
         for t in &threads {
             assert_eq!(board.cluster_of(t.core.unwrap()), ClusterId::BIG);
@@ -426,7 +369,6 @@ mod tests {
 
     #[test]
     fn balance_evens_run_queues() {
-        let cfg = GtsConfig::default();
         let (board, mut threads, mut cores) = setup(4);
         // All four threads dumped on big core 4.
         for (tid, t) in threads.iter_mut().enumerate() {
@@ -435,7 +377,6 @@ mod tests {
             t.load = 0.9; // stay on big
         }
         balance_cluster(
-            &cfg,
             board.cluster_cores(ClusterId::BIG),
             &mut threads,
             &mut cores,
@@ -447,7 +388,6 @@ mod tests {
 
     #[test]
     fn balance_respects_affinity() {
-        let cfg = GtsConfig::default();
         let (board, mut threads, mut cores) = setup(3);
         for (tid, t) in threads.iter_mut().enumerate() {
             t.affinity = CpuSet::single(CoreId(4));
@@ -455,7 +395,6 @@ mod tests {
             cores.enqueue(CoreId(4), tid);
         }
         balance_cluster(
-            &cfg,
             board.cluster_cores(ClusterId::BIG),
             &mut threads,
             &mut cores,
@@ -468,7 +407,6 @@ mod tests {
         // Two 8-thread CPU-bound apps: the big cluster saturates at 2
         // threads/core and idle little cores pull the excess — the
         // multi-application baseline uses the whole board.
-        let cfg = GtsConfig::default();
         let (board, mut threads, mut cores) = setup(16);
         for (tid, t) in threads.iter_mut().enumerate() {
             t.core = Some(CoreId(tid % 8));
@@ -476,9 +414,9 @@ mod tests {
         }
         for _ in 0..32 {
             for t in threads.iter_mut() {
-                t.runnable_ns_since_tick = cfg.tick_ns;
+                t.runnable_ns_since_tick = TICK_NS;
             }
-            tick(&cfg, &board, &mut threads, &mut cores);
+            tick(&board, &mut threads, &mut cores);
         }
         let little_threads: usize = (0..4).map(|i| cores[i].nr_running()).sum();
         let big_threads: usize = (4..8).map(|i| cores[i].nr_running()).sum();
@@ -495,14 +433,13 @@ mod tests {
 
     #[test]
     fn idle_pull_respects_affinity() {
-        let cfg = GtsConfig::default();
         let (_board, mut threads, mut cores) = setup(3);
         for (tid, t) in threads.iter_mut().enumerate() {
             t.affinity = CpuSet::single(CoreId(4));
             t.core = Some(CoreId(4));
             cores.enqueue(CoreId(4), tid);
         }
-        idle_pull(&cfg, &mut threads, &mut cores);
+        idle_pull(&mut threads, &mut cores);
         assert_eq!(cores[4].nr_running(), 3, "pinned threads cannot be pulled");
     }
 
@@ -517,12 +454,7 @@ mod tests {
 
     /// Migration over every thread ever created, with a whole-board
     /// scan for the destination.
-    fn naive_migration_pass(
-        cfg: &GtsConfig,
-        board: &BoardSpec,
-        threads: &mut [ThreadState],
-        cores: &mut RunQueues,
-    ) {
+    fn naive_migration_pass(board: &BoardSpec, threads: &mut [ThreadState], cores: &mut RunQueues) {
         for tid in 0..threads.len() {
             let Some(core) = threads[tid].core else {
                 continue;
@@ -531,12 +463,12 @@ mod tests {
                 continue;
             }
             let cluster = board.cluster_of(core);
-            let (target, upward) = if threads[tid].load >= cfg.up_threshold {
+            let (target, upward) = if threads[tid].load >= UP_THRESHOLD {
                 match board.faster_cluster(cluster) {
                     Some(c) => (c, true),
                     None => continue,
                 }
-            } else if threads[tid].load < cfg.down_threshold {
+            } else if threads[tid].load < DOWN_THRESHOLD {
                 match board.slower_cluster(cluster) {
                     Some(c) => (c, false),
                     None => continue,
@@ -550,7 +482,7 @@ mod tests {
                 .min_by_key(|c| (c.nr_running(), c.id.0))
                 .map(|c| c.id);
             if let Some(dest) = dest {
-                if upward && cores[dest.0].nr_running() > cfg.up_migration_max_busy {
+                if upward && cores[dest.0].nr_running() > UP_MIGRATION_MAX_BUSY {
                     continue;
                 }
                 migrate_thread(tid, dest, threads, cores);
@@ -560,10 +492,7 @@ mod tests {
 
     /// Idle pull that rescans the whole board for the longest queue at
     /// every idle core.
-    fn naive_idle_pull(cfg: &GtsConfig, threads: &mut [ThreadState], cores: &mut RunQueues) {
-        if cfg.idle_pull_min_queue == 0 {
-            return;
-        }
+    fn naive_idle_pull(threads: &mut [ThreadState], cores: &mut RunQueues) {
         for idle_idx in 0..cores.len() {
             if cores[idle_idx].nr_running() > 0 {
                 continue;
@@ -571,7 +500,7 @@ mod tests {
             let idle_id = cores[idle_idx].id;
             let busiest = cores
                 .iter()
-                .filter(|c| c.nr_running() >= cfg.idle_pull_min_queue)
+                .filter(|c| c.nr_running() >= IDLE_PULL_MIN_QUEUE)
                 .max_by_key(|c| (c.nr_running(), c.id.0))
                 .map(|c| c.id);
             let Some(src) = busiest else {
@@ -591,24 +520,11 @@ mod tests {
     /// A random board state: threads in every run state with mixed
     /// affinities, runnable ones queued on an allowed core in random
     /// order, loads spread over (and exactly on) the thresholds.
-    fn random_layout(
-        rng: &mut StdRng,
-    ) -> (
-        BoardSpec,
-        GtsConfig,
-        Vec<usize>,
-        Vec<ThreadState>,
-        RunQueues,
-    ) {
+    fn random_layout(rng: &mut StdRng) -> (BoardSpec, Vec<usize>, Vec<ThreadState>, RunQueues) {
         let board = match rng.random_range(0u8..3) {
             0 => BoardSpec::odroid_xu3(),
             1 => BoardSpec::dynamiq_1p_3m_4l(),
             _ => BoardSpec::server_5c_48core(),
-        };
-        let cfg = GtsConfig {
-            idle_pull_min_queue: rng.random_range(0usize..5),
-            up_migration_max_busy: rng.random_range(0usize..3),
-            ..GtsConfig::default()
         };
         let n = board.n_cores();
         let mut cores = RunQueues::new(
@@ -638,11 +554,11 @@ mod tests {
             };
             let mut t = ThreadState::new(0, 0, affinity);
             t.load = match rng.random_range(0u8..6) {
-                0 => cfg.up_threshold,
-                1 => cfg.down_threshold,
+                0 => UP_THRESHOLD,
+                1 => DOWN_THRESHOLD,
                 _ => rng.random_range(0.0..1.0),
             };
-            t.runnable_ns_since_tick = rng.random_range(0..2 * cfg.tick_ns);
+            t.runnable_ns_since_tick = rng.random_range(0..2 * TICK_NS);
             let allowed: Vec<CoreId> = affinity.iter().collect();
             let core = allowed[rng.random_range(0..allowed.len())];
             match rng.random_range(0u8..7) {
@@ -662,7 +578,7 @@ mod tests {
         let live = (0..n_threads)
             .filter(|&tid| threads[tid].run != RunState::Finished)
             .collect();
-        (board, cfg, live, threads, cores)
+        (board, live, threads, cores)
     }
 
     /// Everything a pass can change: placements, queue contents and
@@ -683,37 +599,26 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x6775_7473);
         let mut moved = (0usize, 0usize);
         for _ in 0..400 {
-            let (board, cfg, live, threads, cores) = random_layout(&mut rng);
+            let (board, live, threads, cores) = random_layout(&mut rng);
             let before = placement(&threads, &cores);
 
             let (mut t_new, mut c_new) = (threads.clone(), cores.clone());
-            migration_pass(&cfg, &Topology::new(&board), &live, &mut t_new, &mut c_new);
+            migration_pass(&Topology::new(&board), &live, &mut t_new, &mut c_new);
             let (mut t_ref, mut c_ref) = (threads.clone(), cores.clone());
-            naive_migration_pass(&cfg, &board, &mut t_ref, &mut c_ref);
+            naive_migration_pass(&board, &mut t_ref, &mut c_ref);
             let after = placement(&t_new, &c_new);
             assert_eq!(after, placement(&t_ref, &c_ref), "migration pass diverged");
             moved.0 += usize::from(after != before);
 
             let (mut t_new, mut c_new) = (threads.clone(), cores.clone());
-            idle_pull(&cfg, &mut t_new, &mut c_new);
+            idle_pull(&mut t_new, &mut c_new);
             let (mut t_ref, mut c_ref) = (threads.clone(), cores.clone());
-            naive_idle_pull(&cfg, &mut t_ref, &mut c_ref);
+            naive_idle_pull(&mut t_ref, &mut c_ref);
             let after = placement(&t_new, &c_new);
             assert_eq!(after, placement(&t_ref, &c_ref), "idle pull diverged");
             moved.1 += usize::from(after != before);
         }
         // The layouts exercise both passes, not just their no-op paths.
         assert!(moved.0 > 100 && moved.1 > 50, "too few moves: {moved:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "down threshold must not exceed")]
-    fn inverted_thresholds_panic() {
-        let cfg = GtsConfig {
-            up_threshold: 0.2,
-            down_threshold: 0.8,
-            ..GtsConfig::default()
-        };
-        cfg.assert_valid();
     }
 }

@@ -3,8 +3,6 @@
 
 pub(crate) mod gts;
 
-pub use gts::GtsConfig;
-
 use crate::board::ClusterId;
 use crate::cpuset::{CoreId, CpuSet};
 use crate::thread::ThreadState;

@@ -25,27 +25,10 @@ use crate::hist::Log2Histogram;
 /// Nanoseconds per second, as f64 (latency conversion).
 const NS_PER_SEC_F: f64 = 1_000_000_000.0;
 
-/// Tuning for the metrics fold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricsConfig {
-    /// A tenant meets its SLO when its satisfied-heartbeat fraction is
-    /// at least this many percent (integer percent so the comparison
-    /// is exact: `satisfied * 100 >= rated * slo_pct`).
-    pub slo_pct: u8,
-    /// Keep the full per-tenant `(t_ns, rate_hz)` heartbeat series.
-    /// On (the default) for operator-facing runs; turn off to bound
-    /// memory on very long scenarios (timeline counters still fold).
-    pub keep_rate_series: bool,
-}
-
-impl Default for MetricsConfig {
-    fn default() -> Self {
-        Self {
-            slo_pct: 90,
-            keep_rate_series: true,
-        }
-    }
-}
+/// A tenant meets its SLO when its satisfied-heartbeat fraction is at
+/// least this many percent (integer percent so the comparison is
+/// exact: `satisfied * 100 >= rated * SLO_PCT`).
+pub const SLO_PCT: u64 = 90;
 
 /// One tenant's lifecycle, reconstructed from the event stream:
 /// admission verdicts → queue wait → heartbeat-rate series and
@@ -80,8 +63,7 @@ pub struct TenantTimeline {
     pub satisfied: u64,
     /// Satisfaction transitions as `(t_ns, satisfied)`.
     pub flips: Vec<(u64, bool)>,
-    /// The heartbeat-rate series `(t_ns, rate_hz)` (empty when
-    /// [`MetricsConfig::keep_rate_series`] is off).
+    /// The heartbeat-rate series `(t_ns, rate_hz)`.
     pub rate_series: Vec<(u64, f64)>,
 }
 
@@ -115,11 +97,11 @@ impl TenantTimeline {
         }
     }
 
-    /// `true` when the tenant meets the SLO at `slo_pct` percent
+    /// `true` when the tenant meets the SLO at [`SLO_PCT`] percent
     /// (exact integer comparison; tenants with no rated heartbeat
     /// never meet it).
-    pub fn slo_met(&self, slo_pct: u8) -> bool {
-        self.rated > 0 && self.satisfied * 100 >= self.rated * slo_pct as u64
+    pub fn slo_met(&self) -> bool {
+        self.rated > 0 && self.satisfied * 100 >= self.rated * SLO_PCT
     }
 }
 
@@ -177,10 +159,8 @@ impl ClusterPowerSeries {
 /// [`MetricsRollup::merge`] is a commutative, associative, bit-stable
 /// fold — shard rollups merged in any order or grouping equal the
 /// rollup of the concatenated event stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRollup {
-    /// The SLO threshold the class rollups were computed at (percent).
-    pub slo_pct: u8,
     /// Events folded. Excludes `cache_hit`/`cache_miss`: their
     /// per-shard split is scheduling-dependent when shards race the
     /// shared calibration cache (see [`MetricsEngine::observe`]).
@@ -224,49 +204,10 @@ pub struct MetricsRollup {
     pub classes: BTreeMap<String, SloClass>,
 }
 
-impl Default for MetricsRollup {
-    fn default() -> Self {
-        Self::new(MetricsConfig::default().slo_pct)
-    }
-}
-
 impl MetricsRollup {
-    /// An empty rollup at the given SLO threshold.
-    pub fn new(slo_pct: u8) -> Self {
-        Self {
-            slo_pct,
-            events: 0,
-            by_kind: BTreeMap::new(),
-            admitted: 0,
-            departed: 0,
-            rejected: 0,
-            queued: 0,
-            queue_depth_max: 0,
-            queue_wait_ns: Log2Histogram::new(),
-            heartbeat_latency_ns: Log2Histogram::new(),
-            decision_wall_ns: Log2Histogram::new(),
-            placement_score_micros: Log2Histogram::new(),
-            faults_injected: 0,
-            boards_failed: 0,
-            quarantines: 0,
-            degraded_calibrations: 0,
-            tenants_failed_over: 0,
-            classes: BTreeMap::new(),
-        }
-    }
-
     /// Absorbs another rollup (integer adds and maxes throughout —
     /// any merge order and grouping produces identical bits).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the rollups were computed at different SLO
-    /// thresholds — merging those would silently mix semantics.
     pub fn merge(&mut self, other: &Self) {
-        assert_eq!(
-            self.slo_pct, other.slo_pct,
-            "cannot merge rollups with different SLO thresholds"
-        );
         self.events += other.events;
         for (k, v) in &other.by_kind {
             *self.by_kind.entry(k.clone()).or_insert(0) += v;
@@ -334,7 +275,7 @@ impl MetricsRollup {
             "placement_score_micros: {}\n",
             self.placement_score_micros.render()
         ));
-        s.push_str(&format!("slo threshold: {}%\n", self.slo_pct));
+        s.push_str(&format!("slo threshold: {SLO_PCT}%\n"));
         for (bench, c) in &self.classes {
             s.push_str(&format!(
                 "  class {bench}: {}/{} tenants met ({:.1}%), heartbeats {}/{} satisfied\n",
@@ -410,11 +351,7 @@ impl MetricsSummary {
                 t.satisfied,
                 t.rated,
                 t.flips.len(),
-                if t.slo_met(self.rollup.slo_pct) {
-                    "met"
-                } else {
-                    "miss"
-                },
+                if t.slo_met() { "met" } else { "miss" },
             ));
         }
         s
@@ -434,9 +371,8 @@ impl MetricsSummary {
 /// [`MetricsSummary`]. Feed events via [`MetricsEngine::observe`]
 /// (live, through a [`crate::MetricsSink`]) or from a parsed capture
 /// (replay); [`MetricsEngine::finish`] closes the books.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsEngine {
-    cfg: MetricsConfig,
     rollup: MetricsRollup,
     tenants: BTreeMap<u64, TenantTimeline>,
     /// Tenants currently waiting in the admission queue.
@@ -445,23 +381,10 @@ pub struct MetricsEngine {
     power: BTreeMap<usize, Vec<(u64, f64)>>,
 }
 
-impl Default for MetricsEngine {
-    fn default() -> Self {
-        Self::new(MetricsConfig::default())
-    }
-}
-
 impl MetricsEngine {
     /// An empty engine.
-    pub fn new(cfg: MetricsConfig) -> Self {
-        Self {
-            cfg,
-            rollup: MetricsRollup::new(cfg.slo_pct),
-            tenants: BTreeMap::new(),
-            in_queue: Vec::new(),
-            queue_depth: Vec::new(),
-            power: BTreeMap::new(),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Events folded so far.
@@ -572,15 +495,12 @@ impl MetricsEngine {
                 satisfied,
             } => {
                 let (t_ns, rate_hz, satisfied) = (*t_ns, *rate_hz, *satisfied);
-                let keep = self.cfg.keep_rate_series;
                 let t = self.tenant(*tenant, t_ns);
                 t.rated += 1;
                 if satisfied {
                     t.satisfied += 1;
                 }
-                if keep {
-                    t.rate_series.push((t_ns, rate_hz));
-                }
+                t.rate_series.push((t_ns, rate_hz));
                 if rate_hz > 0.0 {
                     let latency_ns = (NS_PER_SEC_F / rate_hz).round();
                     self.rollup.heartbeat_latency_ns.record(latency_ns as u64);
@@ -656,7 +576,7 @@ impl MetricsEngine {
             }
             let c = self.rollup.classes.entry(t.bench.clone()).or_default();
             c.tenants += 1;
-            if t.slo_met(self.cfg.slo_pct) {
+            if t.slo_met() {
                 c.met += 1;
             }
             c.rated += t.rated;
@@ -726,8 +646,8 @@ mod tests {
         let p50 = summary.rollup.heartbeat_latency_ns.p50();
         assert!(p50 > 150_000_000 && p50 < 400_000_000, "{p50}");
         assert_eq!(summary.tenants[0].rate_series.len(), 10);
-        assert!(summary.tenants[0].slo_met(90));
-        assert!(!summary.tenants[1].slo_met(90));
+        assert!(summary.tenants[0].slo_met());
+        assert!(!summary.tenants[1].slo_met());
     }
 
     #[test]

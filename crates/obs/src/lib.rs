@@ -38,8 +38,8 @@ pub mod hist;
 mod sink;
 
 pub use engine::{
-    ClusterPowerSeries, MetricsConfig, MetricsEngine, MetricsRollup, MetricsSummary, SloClass,
-    TenantTimeline,
+    ClusterPowerSeries, MetricsEngine, MetricsRollup, MetricsSummary, SloClass, TenantTimeline,
+    SLO_PCT,
 };
 pub use hars_core::telemetry::{parse_capture, parse_line, Interner, ParseError};
 pub use hist::Log2Histogram;
@@ -47,18 +47,18 @@ pub use sink::MetricsSink;
 
 use hars_core::TelemetryEvent;
 
-/// Parses a capture's text and replays it at the default config — the
-/// exact fold a live [`MetricsSink`] performs, so the returned summary
-/// is byte-identical to the live run's.
+/// Parses a capture's text and replays it — the exact fold a live
+/// [`MetricsSink`] performs, so the returned summary is byte-identical
+/// to the live run's.
 pub fn replay_capture(text: &str) -> Result<MetricsSummary, ParseError> {
-    Ok(summarize(MetricsConfig::default(), &parse_capture(text)?))
+    Ok(summarize(&parse_capture(text)?))
 }
 
 /// Folds an in-memory event slice (e.g. a
 /// [`VecSink`](hars_core::VecSink) capture or a parsed capture) into a
 /// summary.
-pub fn summarize(cfg: MetricsConfig, events: &[TelemetryEvent]) -> MetricsSummary {
-    let mut engine = MetricsEngine::new(cfg);
+pub fn summarize(events: &[TelemetryEvent]) -> MetricsSummary {
+    let mut engine = MetricsEngine::new();
     for ev in events {
         engine.observe(ev);
     }

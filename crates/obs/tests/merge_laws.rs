@@ -6,7 +6,7 @@
 use proptest::prop_assert_eq;
 use proptest::proptest;
 
-use hars_obs::{Log2Histogram, MetricsConfig, MetricsEngine, MetricsRollup};
+use hars_obs::{Log2Histogram, MetricsEngine, MetricsRollup};
 
 use hars_core::TelemetryEvent;
 
@@ -84,7 +84,7 @@ fn tenant_events(seed: u64, tenants: u64) -> Vec<TelemetryEvent> {
 }
 
 fn rollup_of(events: &[TelemetryEvent]) -> MetricsRollup {
-    let mut e = MetricsEngine::new(MetricsConfig::default());
+    let mut e = MetricsEngine::new();
     for ev in events {
         e.observe(ev);
     }

@@ -41,15 +41,46 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
+    /// Checks the parameters [`ArrivalProcess::schedule`] needs: finite
+    /// positive rates and positive dwell times.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violated condition.
+    pub fn validate(&self) -> Result<(), String> {
+        let positive_rate = |r: f64| r.is_finite() && r > 0.0;
+        match *self {
+            ArrivalProcess::Poisson { rate_per_sec } if !positive_rate(rate_per_sec) => Err(
+                format!("Poisson rate must be positive (got {rate_per_sec})"),
+            ),
+            ArrivalProcess::Bursty {
+                on_rate_per_sec, ..
+            } if !positive_rate(on_rate_per_sec) => Err(format!(
+                "burst rate must be positive (got {on_rate_per_sec})"
+            )),
+            ArrivalProcess::Bursty {
+                mean_on_secs,
+                mean_off_secs,
+                ..
+            } if !(mean_on_secs > 0.0 && mean_off_secs > 0.0) => Err(format!(
+                "dwell times must be positive (got {mean_on_secs}, {mean_off_secs})"
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Generates the arrival instants (ns, ascending) within
     /// `[0, horizon_ns)` for this process under `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`ArrivalProcess::validate`] fails.
     pub fn schedule(&self, horizon_ns: u64, seed: u64) -> Vec<u64> {
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
         match self {
             ArrivalProcess::Poisson { rate_per_sec } => {
-                assert!(
-                    rate_per_sec.is_finite() && *rate_per_sec > 0.0,
-                    "Poisson rate must be positive"
-                );
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut out = Vec::new();
                 let mut t = 0.0f64;
@@ -68,14 +99,6 @@ impl ArrivalProcess {
                 mean_on_secs,
                 mean_off_secs,
             } => {
-                assert!(
-                    on_rate_per_sec.is_finite() && *on_rate_per_sec > 0.0,
-                    "burst rate must be positive"
-                );
-                assert!(
-                    *mean_on_secs > 0.0 && *mean_off_secs > 0.0,
-                    "dwell times must be positive"
-                );
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut out = Vec::new();
                 let horizon = horizon_ns as f64;

@@ -31,7 +31,7 @@ use crate::admission::{AdmissionDecision, AdmissionPolicy, LoadEstimate};
 use crate::arrival::ArrivalProcess;
 use crate::events::{ScenarioEvent, TimedEvent};
 use crate::outcome::{ScenarioOutcome, TenantOutcome};
-use crate::template::{TemplateSet, TenantSpec};
+use crate::template::{AppTemplate, TemplateSet, TenantSpec};
 
 /// A complete open-system scenario description: who arrives, when, for
 /// how long, under which seed.
@@ -378,8 +378,9 @@ impl<'a> SoloCacheHandle<'a> {
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`] from engine interaction (invalid tenant
-/// specs, malformed decisions).
+/// Returns [`SimError::InvalidSpec`] when [`validate_draws`] rejects
+/// the spec's arrivals or templates. Propagates [`SimError`] from
+/// engine interaction (invalid tenant specs, malformed decisions).
 pub fn run_scenario(
     board: &BoardSpec,
     engine_cfg: &EngineConfig,
@@ -410,6 +411,8 @@ pub fn run_scenario(
 ///
 /// # Errors
 ///
+/// Returns [`SimError::InvalidSpec`] before the schedule is drawn
+/// when [`validate_draws`] rejects the spec's arrivals or templates.
 /// Propagates [`SimError`] from engine interaction (invalid tenant
 /// specs, malformed decisions) and [`run_shard`]'s input validation.
 #[allow(clippy::too_many_arguments)]
@@ -422,6 +425,7 @@ pub fn run_scenario_with_sink(
     solo_cache: &SoloRateCache,
     sink: &mut dyn TelemetrySink,
 ) -> Result<ScenarioOutcome, SimError> {
+    validate_draws(&spec.arrivals, &spec.templates)?;
     let schedule = spec.tenant_schedule();
     let shard_cfg = ShardConfig {
         horizon_ns: spec.horizon_ns,
@@ -583,6 +587,21 @@ pub fn run_shard(
     sim.run()
 }
 
+/// Rejects the arrival process and templates a tenant schedule would
+/// panic on while it is drawn ([`ArrivalProcess::validate`],
+/// [`AppTemplate::validate`]).
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidSpec`] naming the first violated
+/// condition.
+pub fn validate_draws(arrivals: &ArrivalProcess, templates: &TemplateSet) -> Result<(), SimError> {
+    arrivals
+        .validate()
+        .and_then(|()| templates.templates().try_for_each(AppTemplate::validate))
+        .map_err(SimError::InvalidSpec)
+}
+
 /// Rejects the shard inputs that would otherwise panic mid-run: the
 /// guard scales every registered target, a zero-thread tenant cannot
 /// be calibrated or registered, and admission builds each tenant's
@@ -619,8 +638,7 @@ fn validate_shard(schedule: &[(u64, TenantSpec)], shard_cfg: &ShardConfig) -> Re
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`] from engine interaction (invalid tenant
-/// specs, malformed decisions).
+/// As [`run_scenario_with_sink`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_scenario_with_metrics(
     board: &BoardSpec,

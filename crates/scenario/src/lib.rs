@@ -85,8 +85,8 @@ pub use admission::{
 pub use arrival::ArrivalProcess;
 pub use driver::{
     run_scenario, run_scenario_with_metrics, run_scenario_with_sink, run_shard,
-    run_shard_with_metrics, ScenarioRuntime, ScenarioSpec, ShardConfig, SharedSoloRateCache,
-    SoloCacheHandle, SoloRateCache,
+    run_shard_with_metrics, validate_draws, ScenarioRuntime, ScenarioSpec, ShardConfig,
+    SharedSoloRateCache, SoloCacheHandle, SoloRateCache,
 };
 pub use events::{AdmissionSwap, ScenarioEvent, TimedEvent};
 pub use outcome::{ScenarioOutcome, TenantOutcome};

@@ -53,27 +53,43 @@ impl AppTemplate {
         }
     }
 
+    /// Checks parameter ranges.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violated condition.
+    pub fn validate(&self) -> Result<(), String> {
+        let checks = [
+            (self.threads > 0, "template needs threads"),
+            (self.heartbeats > 0, "template needs a heartbeat budget"),
+            (
+                (0.0..1.0).contains(&self.size_jitter),
+                "size jitter must be in [0, 1)",
+            ),
+            (
+                self.target_frac > 0.0 && self.target_frac - self.target_jitter > 0.0,
+                "target fraction (minus jitter) must stay positive",
+            ),
+            (
+                (0.0..1.0).contains(&self.target_tolerance),
+                "target tolerance must be in [0, 1)",
+            ),
+        ];
+        match checks.iter().find(|(ok, _)| !ok) {
+            Some((_, msg)) => Err(format!("{:?}: {msg}", self.bench)),
+            None => Ok(()),
+        }
+    }
+
     /// Validates parameter ranges.
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range parameters (templates are static
-    /// experiment configuration; a bad one is a programming error).
+    /// Panics when [`AppTemplate::validate`] fails.
     pub fn assert_valid(&self) {
-        assert!(self.threads > 0, "template needs threads");
-        assert!(self.heartbeats > 0, "template needs a heartbeat budget");
-        assert!(
-            (0.0..1.0).contains(&self.size_jitter),
-            "size jitter must be in [0, 1)"
-        );
-        assert!(
-            self.target_frac > 0.0 && self.target_frac - self.target_jitter > 0.0,
-            "target fraction (minus jitter) must stay positive"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.target_tolerance),
-            "target tolerance must be in [0, 1)"
-        );
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
     }
 
     /// Instantiates one tenant from this template. `draw_seed` folds the
@@ -134,9 +150,6 @@ impl TemplateSet {
             templates.iter().all(|(w, _)| w.is_finite() && *w > 0.0),
             "weights must be positive"
         );
-        for (_, t) in &templates {
-            t.assert_valid();
-        }
         Self { templates }
     }
 

@@ -14,6 +14,7 @@
 //! cargo run --release --example observability
 //! ```
 
+use hars::hars_obs::SLO_PCT;
 use hars::prelude::*;
 use hmp_sim::clock::NS_PER_SEC;
 
@@ -108,10 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    println!(
-        "\nSLO rollup (threshold {}% of rated heartbeats):",
-        m.rollup.slo_pct
-    );
+    println!("\nSLO rollup (threshold {SLO_PCT}% of rated heartbeats):");
     println!(
         "  {:<13} {:>8} {:>8} {:>8} {:>16}",
         "class", "tenants", "met", "met%", "heartbeats"

@@ -78,8 +78,8 @@ pub mod prelude {
         FleetOutcome, FleetRuntimeKind, FleetSpec, PlacementPolicy, ShardFailure,
     };
     pub use hars_obs::{
-        replay_capture, Log2Histogram, MetricsConfig, MetricsRollup, MetricsSink, MetricsSummary,
-        SloClass, TenantTimeline,
+        replay_capture, Log2Histogram, MetricsRollup, MetricsSink, MetricsSummary, SloClass,
+        TenantTimeline,
     };
     pub use hars_scenario::{
         run_scenario, run_scenario_with_metrics, run_scenario_with_sink, run_shard,
@@ -91,10 +91,8 @@ pub mod prelude {
     pub use hmp_sim::microbench::CalibrationConfig;
     pub use hmp_sim::{
         AppSpec, BoardSpec, ClusterId, ClusterSpec, CoreId, CpuSet, Engine, EngineConfig,
-        FaultKind, FaultPlan, FreqKhz, FreqLadder, GtsConfig, SpeedProfile, TimedFault,
+        FaultKind, FaultPlan, FreqKhz, FreqLadder, SpeedProfile, TimedFault,
     };
-    pub use mp_hars::{
-        ConsConfig, ConsIManager, MpHarsConfig, MpHarsManager, MpVersion, QuarantineMode,
-    };
+    pub use mp_hars::{ConsIManager, MpHarsConfig, MpHarsManager, MpVersion, QuarantineMode};
     pub use workloads::Benchmark;
 }

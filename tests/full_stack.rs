@@ -5,7 +5,7 @@
 use hars::hars_core::calibrate::run_power_calibration;
 use hars::hars_core::policy::{hars_e, hars_ei, hars_i};
 use hars::hars_core::run_single_app;
-use hars::mp_hars::{mp_hars_e, run_multi_app, ConsConfig, ConsIManager, MpVersion};
+use hars::mp_hars::{mp_hars_e, run_multi_app, ConsIManager, MpVersion};
 use hars::prelude::*;
 use hmp_sim::clock::secs_to_ns;
 use hmp_sim::microbench::CalibrationConfig;
@@ -211,10 +211,7 @@ fn cons_i_is_less_efficient_than_mp_hars() {
         .unwrap()
     };
 
-    let cons = run(&mut MpVersion::ConsI(ConsIManager::new(
-        &s.board,
-        ConsConfig::default(),
-    )));
+    let cons = run(&mut MpVersion::ConsI(ConsIManager::new(&s.board)));
     let mp = run(&mut MpVersion::MpHars(MpHarsManager::new(
         &s.board,
         s.perf,

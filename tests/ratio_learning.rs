@@ -48,4 +48,14 @@ fn per_cluster_converges_where_fast_only_cannot() {
         per_err < fast_err,
         "per-cluster steady-state prediction error {per_err} not below fast-only {fast_err}"
     );
+    // The exact trajectory of the learner's constants (window,
+    // evidence, gain, step and drift bounds): any change to one moves
+    // these bits.
+    assert_eq!(per.mid_estimate.to_bits(), 0x3ffa_6b9d_b4ba_78ee);
+    assert_eq!(
+        per.prediction_error.map(f64::to_bits),
+        Some(0x3fb4_eab7_9689_d8c8)
+    );
+    assert_eq!(per_err.to_bits(), 0x3fb6_b44a_1a3c_d80e);
+    assert_eq!(per.adaptations, 37);
 }
